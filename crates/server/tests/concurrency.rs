@@ -5,7 +5,6 @@
 
 use genie_server::{Page, Response, ServeClient, Server, ServerConfig};
 use genie_social::{build_app, AppConfig, SeedConfig};
-use genie_storage::Value;
 use std::sync::atomic::Ordering;
 
 #[test]
@@ -75,19 +74,6 @@ fn concurrent_clients_see_stable_snapshots_and_leak_nothing() {
     assert_eq!(report.leaked_sessions, 0, "{report:?}");
     assert_eq!(report.dropped_in_flight, 0, "{report:?}");
     // The cache tier agrees with the database for every swept object.
-    for name in [
-        "latest_wall_posts",
-        "wall_post_count",
-        "user_by_id",
-        "friends_of_user",
-    ] {
-        for user in 1..=users {
-            assert!(
-                env.genie
-                    .verify_coherence(name, &[Value::Int(user)])
-                    .unwrap(),
-                "cache incoherent: {name}({user})"
-            );
-        }
-    }
+    let (_, bad) = genie_social::sweep_coherence(&env.genie, users).unwrap();
+    assert!(bad.is_empty(), "cache incoherent: {bad:?}");
 }

@@ -5,22 +5,11 @@
 
 use genie_server::{Page, Response, ServeClient, Server, ServerConfig};
 use genie_social::{build_app, build_app_on, AppConfig, AppEnv, SeedConfig};
-use genie_storage::{Database, Value, WalConfig};
+use genie_storage::{Database, WalConfig};
 use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Cached objects the post-run coherence sweep checks, per user.
-const SWEPT_OBJECTS: &[&str] = &[
-    "latest_wall_posts",
-    "wall_post_count",
-    "user_by_id",
-    "profile_by_user",
-    "friends_of_user",
-    "friend_count",
-    "user_bookmark_count",
-];
 
 fn cached_env() -> AppEnv {
     build_app(&AppConfig {
@@ -38,16 +27,9 @@ fn start(cfg: ServerConfig) -> (AppEnv, Server) {
 }
 
 fn sweep_coherence(env: &AppEnv) {
-    let users = env.seeded.users as i64;
-    for name in SWEPT_OBJECTS {
-        for user in 1..=users {
-            let ok = env
-                .genie
-                .verify_coherence(name, &[Value::Int(user)])
-                .unwrap_or_else(|e| panic!("verify {name}({user}): {e}"));
-            assert!(ok, "cache incoherent: {name}({user})");
-        }
-    }
+    let (_, bad) = genie_social::sweep_coherence(&env.genie, env.seeded.users as i64)
+        .expect("coherence sweep");
+    assert!(bad.is_empty(), "cache incoherent: {bad:?}");
 }
 
 fn is_disconnect(kind: ErrorKind) -> bool {

@@ -4,7 +4,7 @@
 //! triggers.
 
 use cachegenie::{CacheGenie, CacheableDef, ConsistencyStrategy, SortOrder};
-use genie_storage::Result;
+use genie_storage::{Result, Value};
 
 /// Declares all 14 cached objects with the given consistency strategy,
 /// returning how many were declared.
@@ -92,6 +92,42 @@ pub fn cached_object_defs(strategy: ConsistencyStrategy) -> Vec<CacheableDef> {
             .where_fields(&["group_id"])
             .strategy(s),
     ]
+}
+
+/// The per-user cached objects the coherence sweep checks: every one
+/// the page mix can touch for a user.
+const SWEPT_OBJECTS: [&str; 7] = [
+    "latest_wall_posts",
+    "wall_post_count",
+    "user_by_id",
+    "profile_by_user",
+    "friends_of_user",
+    "friend_count",
+    "user_bookmark_count",
+];
+
+/// Cross-checks every per-user cached object the page mix can touch
+/// (wall, profile, friends and bookmark count) for users `1..=users`
+/// with [`CacheGenie::verify_coherence`]. Returns how many objects were
+/// checked and the incoherent ones, as `name(user)`. Run it on a
+/// quiescent system.
+///
+/// # Errors
+///
+/// Database errors from the sweep's queries.
+pub fn sweep_coherence(genie: &CacheGenie, users: i64) -> Result<(u64, Vec<String>)> {
+    let mut checked = 0;
+    let mut bad = Vec::new();
+    for user in 1..=users {
+        let params = [Value::Int(user)];
+        for name in SWEPT_OBJECTS {
+            checked += 1;
+            if !genie.verify_coherence(name, &params)? {
+                bad.push(format!("{name}({user})"));
+            }
+        }
+    }
+    Ok((checked, bad))
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub mod models;
 pub mod seed;
 
 pub use app::{PageStats, SocialApp};
-pub use cached_objects::{cached_object_defs, define_cached_objects};
+pub use cached_objects::{cached_object_defs, define_cached_objects, sweep_coherence};
 pub use models::{build_registry, invitation_status};
 pub use seed::{seed, SeedConfig, SeedStats};
 

@@ -2280,7 +2280,8 @@ impl Database {
         if changes.is_empty() || !triggers.is_enabled() {
             return Ok(());
         }
-        let opts = ScanOpts::serial();
+        // Trigger-body queries already run inside a commit: serial.
+        let opts = ScanOpts::default();
         for change in changes {
             let matching = triggers.matching(&change.table, change.event);
             for trigger in matching {

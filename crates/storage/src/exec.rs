@@ -38,7 +38,7 @@ use crate::latch::TableSet;
 use crate::lockmgr::TxnId;
 use crate::query::{AggFunc, Delete, Insert, JoinKind, QueryResult, Select, SelectItem, Update};
 use crate::row::{Row, RowId};
-use crate::table::{Snapshot, Table};
+use crate::table::{KeyRange, Snapshot, Table};
 use crate::trigger::TriggerEvent;
 use crate::value::Value;
 
@@ -227,26 +227,51 @@ impl Layout {
 
 use crate::plan::eval_const;
 
-/// Plans and runs the base-table access for a write statement's
-/// predicate against the statement's snapshot. Charges probes to
-/// `cost`; `None` means full heap scan.
+/// The rows a write statement's predicate matches at the statement's
+/// snapshot, in heap order: plans and walks the base-table access, then
+/// re-checks the whole predicate on each visible version. Charges
+/// probes, page reads and scanned rows to `cost`.
 fn plan_write_rids(
     table: &Table,
     binding: &str,
     pred: Option<&Expr>,
     params: &[Value],
+    pool: &BufferPool,
     cost: &mut CostReport,
     snap: &Snapshot,
-) -> Result<Option<Vec<RowId>>> {
+) -> Result<Vec<RowId>> {
     let plan = crate::plan::plan_access(table, binding, pred, &[], params)?;
-    Ok(
-        crate::plan::execute_path(table, &plan, cost, snap).map(|mut rids| {
-            // Writes process rows in heap order whatever path found them, so
-            // trigger firing order matches the pre-planner engine.
+    let candidates = match crate::plan::execute_path(table, &plan, cost, snap) {
+        Some(mut rids) => {
+            // Writes process rows in heap order whatever path found them,
+            // so trigger firing order matches the pre-planner engine.
             rids.sort_unstable();
             rids
-        }),
-    )
+        }
+        None => table.scan_rids(),
+    };
+    let mut layout = Layout::default();
+    layout.push_table(binding, table);
+    let bound = match pred {
+        Some(p) => Some(p.bind(&layout.binder())?),
+        None => None,
+    };
+    let mut matched = Vec::new();
+    for rid in candidates {
+        touch_read(pool, table, rid, cost);
+        let Some(row) = table.visible(rid, snap) else {
+            continue;
+        };
+        cost.rows_scanned += 1;
+        let keep = match &bound {
+            Some(p) => p.matches(row, params)?,
+            None => true,
+        };
+        if keep {
+            matched.push(rid);
+        }
+    }
+    Ok(matched)
 }
 
 fn coerce_for(table: &Table, column: &str, v: &Value) -> Value {
@@ -293,14 +318,6 @@ impl Default for ScanOpts {
     }
 }
 
-impl ScanOpts {
-    /// Serial vectorized execution — used for trigger-body queries,
-    /// which already run inside a commit.
-    pub(crate) fn serial() -> Self {
-        ScanOpts::default()
-    }
-}
-
 /// One prepared join step: the plan's probe method and residual ON
 /// conditions, bound against the execution-order layout.
 struct JoinStep<'a> {
@@ -337,7 +354,7 @@ fn join_step(
                 Vec::new()
             } else {
                 let v = coerce_for(jt, jt.schema().primary_key(), &v);
-                jt.find_pk_visible(&v, snap).into_iter().collect()
+                jt.scan_key_ranges(None, &[KeyRange::prefix(vec![v])], false, snap)
             }
         }
         BoundMethod::Index(idx, outers) => {
@@ -356,7 +373,7 @@ fn join_step(
             if null_key {
                 Vec::new()
             } else {
-                jt.index_lookup_visible(idx, &key, snap)
+                jt.scan_key_ranges(Some(idx), &[KeyRange::prefix(key)], false, snap)
             }
         }
         BoundMethod::Scan => jt.scan_rids(),
@@ -959,51 +976,71 @@ fn count_matching(
     workers: usize,
 ) -> Result<i64> {
     let compiled = CompiledPred::compile(pred, params);
+    let count = |n: &mut i64, _: usize, rids: &[RowId], cost: &mut CostReport| {
+        let mut batch = RowBatch::gather(base, rids, pool, cost, snap);
+        batch.filter(&compiled, params)?;
+        *n += batch.selected().count() as i64;
+        Ok(())
+    };
     if workers > 1 && rid_list.len() >= PARALLEL_MIN_RIDS {
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        let n_morsels = rid_list.len().div_ceil(BATCH_ROWS);
-        let worker_results: Vec<Result<(CostReport, i64)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers.min(n_morsels))
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut wcost = CostReport::default();
-                        let mut n = 0i64;
-                        loop {
-                            let m = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if m >= n_morsels {
-                                break;
-                            }
-                            let lo = m * BATCH_ROWS;
-                            let hi = (lo + BATCH_ROWS).min(rid_list.len());
-                            let mut batch =
-                                RowBatch::gather(base, &rid_list[lo..hi], pool, &mut wcost, snap);
-                            batch.filter(&compiled, params)?;
-                            n += batch.selected().count() as i64;
-                        }
-                        Ok((wcost, n))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scan worker panicked"))
-                .collect()
-        });
-        let mut total = 0i64;
-        for r in worker_results {
-            let (wcost, n) = r?;
-            *cost += wcost;
-            total += n;
-        }
-        return Ok(total);
+        return Ok(run_morsels(rid_list, workers, cost, count)?
+            .into_iter()
+            .sum());
     }
     let mut n = 0i64;
-    for chunk in rid_list.chunks(BATCH_ROWS) {
-        let mut batch = RowBatch::gather(base, chunk, pool, cost, snap);
-        batch.filter(&compiled, params)?;
-        n += batch.selected().count() as i64;
+    for (m, chunk) in rid_list.chunks(BATCH_ROWS).enumerate() {
+        count(&mut n, m, chunk, cost)?;
     }
     Ok(n)
+}
+
+/// The morsel-driven parallel driver: up to `workers` threads claim
+/// `BATCH_ROWS`-sized morsels of `rid_list` from a shared cursor and
+/// `fold` each one, with its morsel index, into a per-worker
+/// accumulator. Returns the accumulators in worker order and merges
+/// every worker's cost into `cost`.
+fn run_morsels<A, F>(
+    rid_list: &[RowId],
+    workers: usize,
+    cost: &mut CostReport,
+    fold: F,
+) -> Result<Vec<A>>
+where
+    A: Default + Send,
+    F: Fn(&mut A, usize, &[RowId], &mut CostReport) -> Result<()> + Sync,
+{
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
+    let n_morsels = rid_list.len().div_ceil(BATCH_ROWS);
+    let worker = || -> Result<(CostReport, A)> {
+        let mut wcost = CostReport::default();
+        let mut acc = A::default();
+        loop {
+            let m = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if m >= n_morsels {
+                break;
+            }
+            let lo = m * BATCH_ROWS;
+            let hi = (lo + BATCH_ROWS).min(rid_list.len());
+            fold(&mut acc, m, &rid_list[lo..hi], &mut wcost)?;
+        }
+        Ok((wcost, acc))
+    };
+    let worker_results: Vec<Result<(CostReport, A)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers.min(n_morsels))
+            .map(|_| s.spawn(worker))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("scan worker panicked"))
+            .collect()
+    });
+    let mut accs = Vec::with_capacity(worker_results.len());
+    for r in worker_results {
+        let (wcost, acc) = r?;
+        *cost += wcost;
+        accs.push(acc);
+    }
+    Ok(accs)
 }
 
 /// Morsel-driven parallel scan: workers claim morsels from a shared
@@ -1032,69 +1069,44 @@ fn scan_parallel(
     workers: usize,
 ) -> Result<()> {
     let spec: Option<(&[(Expr, bool)], usize)> = topk.as_ref().map(|tk| (&tk.keys[..], tk.cap));
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let n_morsels = rid_list.len().div_ceil(BATCH_ROWS);
-    type Tagged = (u64, Row);
-    let worker_results: Vec<Result<(CostReport, Vec<Tagged>)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers.min(n_morsels))
-            .map(|_| {
-                s.spawn(|| {
-                    let mut wcost = CostReport::default();
-                    // With a Top-K spec: kept sorted by (keys, rank),
-                    // truncated to cap. Otherwise: plain arrival order.
-                    let mut local: Vec<(Vec<Value>, u64, Row)> = Vec::new();
-                    loop {
-                        let m = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if m >= n_morsels {
-                            break;
-                        }
-                        let lo = m * BATCH_ROWS;
-                        let hi = (lo + BATCH_ROWS).min(rid_list.len());
-                        let mut batch =
-                            RowBatch::gather(base, &rid_list[lo..hi], pool, &mut wcost, snap);
-                        batch.filter(compiled, params)?;
-                        for (seq, r) in batch.selected().enumerate() {
-                            let rank = ((m as u64) << 32) | seq as u64;
-                            match spec {
-                                Some((keys, cap)) => {
-                                    if cap == 0 {
-                                        continue;
-                                    }
-                                    let kv = keys
-                                        .iter()
-                                        .map(|(e, _)| e.eval(r, params))
-                                        .collect::<Result<Vec<_>>>()?;
-                                    let pos =
-                                        local.partition_point(
-                                            |(ek, erank, _)| match cmp_order_keys(keys, ek, &kv) {
-                                                std::cmp::Ordering::Equal => *erank < rank,
-                                                o => o == std::cmp::Ordering::Less,
-                                            },
-                                        );
-                                    if pos < cap {
-                                        local.insert(pos, (kv, rank, r.clone()));
-                                        local.truncate(cap);
-                                    }
-                                }
-                                None => local.push((Vec::new(), rank, r.clone())),
-                            }
-                        }
+    // Per worker, with a Top-K spec: kept sorted by (keys, rank),
+    // truncated to cap. Otherwise: plain arrival order.
+    type Local = Vec<(Vec<Value>, u64, Row)>;
+    let scan = |local: &mut Local, m: usize, rids: &[RowId], wcost: &mut CostReport| {
+        let mut batch = RowBatch::gather(base, rids, pool, wcost, snap);
+        batch.filter(compiled, params)?;
+        for (seq, r) in batch.selected().enumerate() {
+            let rank = ((m as u64) << 32) | seq as u64;
+            match spec {
+                Some((keys, cap)) => {
+                    if cap == 0 {
+                        continue;
                     }
-                    Ok((wcost, local.into_iter().map(|(_, t, r)| (t, r)).collect()))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scan worker panicked"))
-            .collect()
-    });
-    let mut merged: Vec<Tagged> = Vec::new();
-    for r in worker_results {
-        let (wcost, rows) = r?;
-        *cost += wcost;
-        merged.extend(rows);
-    }
+                    let kv = keys
+                        .iter()
+                        .map(|(e, _)| e.eval(r, params))
+                        .collect::<Result<Vec<_>>>()?;
+                    let pos = local.partition_point(|(ek, erank, _)| {
+                        match cmp_order_keys(keys, ek, &kv) {
+                            std::cmp::Ordering::Equal => *erank < rank,
+                            o => o == std::cmp::Ordering::Less,
+                        }
+                    });
+                    if pos < cap {
+                        local.insert(pos, (kv, rank, r.clone()));
+                        local.truncate(cap);
+                    }
+                }
+                None => local.push((Vec::new(), rank, r.clone())),
+            }
+        }
+        Ok(())
+    };
+    let mut merged: Vec<(u64, Row)> = run_morsels(rid_list, workers, cost, scan)?
+        .into_iter()
+        .flatten()
+        .map(|(_, rank, row)| (rank, row))
+        .collect();
     // Rank order == the serial scan's arrival order.
     merged.sort_by_key(|(rank, _)| *rank);
     for (_, row) in merged {
@@ -1158,10 +1170,10 @@ impl TopK {
 }
 
 /// Answers a planner-approved `SELECT COUNT(*)` from index metadata: the
-/// pk map for `PkEq`, posting lists for `IndexEq`/`IndexPrefixRange`, and
-/// the visible row count for a predicate-free scan. No heap page is
-/// touched; entries resolve against the snapshot so counts agree with
-/// what a full scan at the same snapshot would return.
+/// length of the path's key-range walk, or the visible row count for a
+/// predicate-free scan. No heap page is touched; entries resolve against
+/// the snapshot so counts agree with what a full scan at the same
+/// snapshot would return.
 fn run_count_only(
     base: &Table,
     sel: &Select,
@@ -1169,62 +1181,10 @@ fn run_count_only(
     cost: &mut CostReport,
     snap: &Snapshot,
 ) -> Result<QueryResult> {
-    use crate::plan::AccessPath;
-    let n = match &qplan.base.path {
-        AccessPath::TableScan => base.visible_len(snap) as i64,
-        AccessPath::PkEq { key } => {
-            cost.index_probes += 1;
-            i64::from(base.find_pk_visible(key, snap).is_some())
-        }
-        AccessPath::IndexEq { index, key } => {
-            cost.index_probes += 1;
-            let idx = base.index_by_name(index).expect("planned index exists");
-            base.index_lookup_visible(idx, key, snap).len() as i64
-        }
-        AccessPath::IndexPrefixRange { index, prefix } => {
-            cost.index_probes += 1;
-            let idx = base.index_by_name(index).expect("planned index exists");
-            base.index_prefix_scan_visible(idx, prefix, false, snap)
-                .len() as i64
-        }
-        AccessPath::PkOr { keys } => {
-            cost.index_probes += keys.len() as u64;
-            keys.iter()
-                .filter(|k| base.find_pk_visible(k, snap).is_some())
-                .count() as i64
-        }
-        AccessPath::PkRange { from, to } => {
-            cost.index_probes += 1;
-            base.pk_range_scan_visible(from, to, false, snap).len() as i64
-        }
-        AccessPath::IndexRange {
-            index,
-            eq_prefix,
-            from,
-            to,
-        } => {
-            cost.index_probes += 1;
-            let idx = base.index_by_name(index).expect("planned index exists");
-            base.index_range_scan_visible(idx, eq_prefix, from, to, false, snap)
-                .len() as i64
-        }
-        AccessPath::IndexOr { index, keys } => {
-            cost.index_probes += keys.len() as u64;
-            let idx = base.index_by_name(index).expect("planned index exists");
-            base.index_multi_lookup_visible(idx, keys, false, snap)
-                .len() as i64
-        }
-        AccessPath::IndexInList {
-            index,
-            eq_prefix,
-            keys,
-        } => {
-            cost.index_probes += keys.len() as u64;
-            let idx = base.index_by_name(index).expect("planned index exists");
-            base.index_in_scan_visible(idx, eq_prefix, keys, false, snap)
-                .len() as i64
-        }
-    };
+    let n = match crate::plan::execute_path(base, &qplan.base, cost, snap) {
+        Some(rids) => rids.len(),
+        None => base.visible_len(snap),
+    } as i64;
     let alias = match &sel.projection[..] {
         [crate::query::SelectItem::Aggregate { alias, .. }] => alias.clone(),
         _ => None,
@@ -1643,42 +1603,15 @@ pub(crate) fn run_update(
     let snap = view.snap;
     let tid = view.tid();
 
-    // Plan matching rows against the snapshot.
-    let match_rids = {
-        let table = tables.table(&upd.table)?;
-        let rids = plan_write_rids(
-            table,
-            &upd.table,
-            upd.predicate.as_ref(),
-            params,
-            cost,
-            &snap,
-        )?;
-        let bound = match &upd.predicate {
-            Some(p) => Some(p.bind(&layout.binder())?),
-            None => None,
-        };
-        let candidates: Vec<RowId> = match rids {
-            Some(r) => r,
-            None => table.scan_rids(),
-        };
-        let mut matched = Vec::new();
-        for rid in candidates {
-            touch_read(pool, table, rid, cost);
-            let Some(row) = table.visible(rid, &snap) else {
-                continue;
-            };
-            cost.rows_scanned += 1;
-            let keep = match &bound {
-                Some(p) => p.matches(row, params)?,
-                None => true,
-            };
-            if keep {
-                matched.push(rid);
-            }
-        }
-        matched
-    };
+    let match_rids = plan_write_rids(
+        tables.table(&upd.table)?,
+        &upd.table,
+        upd.predicate.as_ref(),
+        params,
+        pool,
+        cost,
+        &snap,
+    )?;
 
     // Bind SET expressions against the single-table layout.
     let sets: Vec<(usize, Expr)> = upd
@@ -1789,45 +1722,17 @@ pub(crate) fn run_delete(
     cost: &mut CostReport,
     view: &ExecView,
 ) -> Result<WriteEffect> {
-    let mut layout = Layout::default();
-    layout.push_table(&del.table, tables.table(&del.table)?);
     let snap = view.snap;
     let tid = view.tid();
-    let match_rids = {
-        let table = tables.table(&del.table)?;
-        let rids = plan_write_rids(
-            table,
-            &del.table,
-            del.predicate.as_ref(),
-            params,
-            cost,
-            &snap,
-        )?;
-        let bound = match &del.predicate {
-            Some(p) => Some(p.bind(&layout.binder())?),
-            None => None,
-        };
-        let candidates: Vec<RowId> = match rids {
-            Some(r) => r,
-            None => table.scan_rids(),
-        };
-        let mut matched = Vec::new();
-        for rid in candidates {
-            touch_read(pool, table, rid, cost);
-            let Some(row) = table.visible(rid, &snap) else {
-                continue;
-            };
-            cost.rows_scanned += 1;
-            let keep = match &bound {
-                Some(p) => p.matches(row, params)?,
-                None => true,
-            };
-            if keep {
-                matched.push(rid);
-            }
-        }
-        matched
-    };
+    let match_rids = plan_write_rids(
+        tables.table(&del.table)?,
+        &del.table,
+        del.predicate.as_ref(),
+        params,
+        pool,
+        cost,
+        &snap,
+    )?;
 
     let table = tables.table_mut(&del.table)?;
     let mut effect = WriteEffect::default();

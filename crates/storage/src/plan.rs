@@ -53,7 +53,7 @@ use crate::latch::TableSet;
 use crate::query::{AggFunc, JoinKind, OrderKey, Select, SelectItem};
 use crate::row::Row;
 use crate::stats::ColumnStats;
-use crate::table::Table;
+use crate::table::{Index, KeyRange, Table};
 use crate::value::Value;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -970,71 +970,76 @@ fn plan_access_impl(
 
 /// Executes a plan's access path against the read `snap`shot, returning
 /// candidate row ids in path order (`None` means full heap scan — the
-/// executor drives it via [`Table::scan_rids`]). Charges probes to
-/// `cost`. Every id returned resolves to a version visible at the
-/// snapshot that actually carries the probed key.
+/// executor drives it via [`Table::scan_rids`]). The path lowers to key
+/// ranges run by [`Table::scan_key_ranges`], one index probe charged to
+/// `cost` per range. Every id returned resolves to a version visible at
+/// the snapshot that actually carries the probed key.
 pub(crate) fn execute_path(
     table: &Table,
     plan: &Plan,
     cost: &mut CostReport,
     snap: &crate::table::Snapshot,
 ) -> Option<Vec<crate::row::RowId>> {
-    match &plan.path {
-        AccessPath::TableScan => None,
-        AccessPath::PkEq { key } => {
-            cost.index_probes += 1;
-            Some(table.find_pk_visible(key, snap).into_iter().collect())
-        }
-        AccessPath::PkOr { keys } => {
-            cost.index_probes += keys.len() as u64;
-            let mut rids: Vec<crate::row::RowId> = keys
-                .iter()
-                .filter_map(|k| table.find_pk_visible(k, snap))
-                .collect();
-            if plan.reverse {
-                rids.reverse();
-            }
-            Some(rids)
-        }
-        AccessPath::PkRange { from, to } => {
-            cost.index_probes += 1;
-            Some(table.pk_range_scan_visible(from, to, plan.reverse, snap))
-        }
-        AccessPath::IndexEq { index, key } => {
-            cost.index_probes += 1;
-            let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_lookup_visible(idx, key, snap))
-        }
+    let (index, ranges) = lower_path(table, &plan.path)?;
+    cost.index_probes += ranges.len() as u64;
+    Some(table.scan_key_ranges(index, &ranges, plan.reverse, snap))
+}
+
+/// Lowers an access path to the key ranges it reads and the index they
+/// range over (`None` = the primary-key index); `None` for a table scan.
+fn lower_path<'t>(
+    table: &'t Table,
+    path: &AccessPath,
+) -> Option<(Option<&'t Index>, Vec<KeyRange>)> {
+    // All keys whose first column is `key`.
+    let first = |key: &Value| KeyRange::prefix(vec![key.clone()]);
+    let (index, ranges) = match path {
+        AccessPath::TableScan => return None,
+        AccessPath::PkEq { key } => (None, vec![first(key)]),
+        AccessPath::PkOr { keys } => (None, keys.iter().map(first).collect()),
+        AccessPath::PkRange { from, to } => (
+            None,
+            vec![KeyRange {
+                prefix: Vec::new(),
+                from: from.clone(),
+                to: to.clone(),
+            }],
+        ),
+        AccessPath::IndexEq { index, key } => (Some(index), vec![KeyRange::prefix(key.clone())]),
         AccessPath::IndexRange {
             index,
             eq_prefix,
             from,
             to,
-        } => {
-            cost.index_probes += 1;
-            let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_range_scan_visible(idx, eq_prefix, from, to, plan.reverse, snap))
-        }
+        } => (
+            Some(index),
+            vec![KeyRange {
+                prefix: eq_prefix.clone(),
+                from: from.clone(),
+                to: to.clone(),
+            }],
+        ),
         AccessPath::IndexPrefixRange { index, prefix } => {
-            cost.index_probes += 1;
-            let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_prefix_scan_visible(idx, prefix, plan.reverse, snap))
+            (Some(index), vec![KeyRange::prefix(prefix.clone())])
         }
-        AccessPath::IndexOr { index, keys } => {
-            cost.index_probes += keys.len() as u64;
-            let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_multi_lookup_visible(idx, keys, plan.reverse, snap))
-        }
+        AccessPath::IndexOr { index, keys } => (Some(index), keys.iter().map(first).collect()),
         AccessPath::IndexInList {
             index,
             eq_prefix,
             keys,
-        } => {
-            cost.index_probes += keys.len() as u64;
-            let idx = table.index_by_name(index).expect("planned index exists");
-            Some(table.index_in_scan_visible(idx, eq_prefix, keys, plan.reverse, snap))
-        }
-    }
+        } => (
+            Some(index),
+            keys.iter()
+                .map(|k| {
+                    let mut prefix = eq_prefix.clone();
+                    prefix.push(k.clone());
+                    KeyRange::prefix(prefix)
+                })
+                .collect(),
+        ),
+    };
+    let index = index.map(|name| table.index_by_name(name).expect("planned index exists"));
+    Some((index, ranges))
 }
 
 // ---------------------------------------------------------------------

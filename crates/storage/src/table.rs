@@ -36,12 +36,14 @@
 
 use crate::error::{Result, StorageError};
 use crate::lockmgr::TxnId;
+use crate::plan::Bound;
 use crate::row::{Row, RowId};
 use crate::schema::{IndexDef, TableSchema};
 use crate::stats::ColumnStats;
 use crate::value::Value;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound::{Included, Unbounded};
 
 /// A point-in-time read view: every read resolves the newest version
 /// whose begin epoch is `<= epoch` and that was not yet superseded at
@@ -169,35 +171,64 @@ impl Index {
     }
 }
 
-/// Flattens per-key posting blocks into one rid list. `reverse` flips
-/// the *key* order only: rows sharing an index key stay in rid (heap)
-/// order, which is the tie order the executor's stable sort produces —
-/// so ordered index scans and scan+sort return identical row sequences,
-/// with or without the index.
-fn flatten_key_blocks(blocks: Vec<Vec<RowId>>, reverse: bool) -> Vec<RowId> {
-    let mut out = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
-    if reverse {
-        for block in blocks.into_iter().rev() {
-            out.extend(block);
-        }
-    } else {
-        for block in blocks {
-            out.extend(block);
-        }
-    }
-    out
+/// One contiguous run of index keys: every key that starts with
+/// `prefix` and whose next key column lies between `from` and `to`. A
+/// prefix as wide as the key is a point lookup; with both ends
+/// `Unbounded` it is a prefix scan. Inverted bounds describe an empty
+/// run and walk nothing.
+#[derive(Debug)]
+pub(crate) struct KeyRange {
+    pub(crate) prefix: Vec<Value>,
+    pub(crate) from: Bound,
+    pub(crate) to: Bound,
 }
 
-/// True when a `(lo, hi)` pair describes an empty interval —
-/// `BTreeMap::range` panics on inverted bounds instead of yielding
-/// nothing.
-fn range_is_empty(lo: &std::ops::Bound<Value>, hi: &std::ops::Bound<Value>) -> bool {
-    use std::ops::Bound as B;
-    match (lo, hi) {
-        (B::Included(a), B::Included(b)) => a > b,
-        (B::Included(a), B::Excluded(b)) | (B::Excluded(a), B::Included(b)) => a >= b,
-        (B::Excluded(a), B::Excluded(b)) => a >= b,
-        (B::Unbounded, _) | (_, B::Unbounded) => false,
+impl KeyRange {
+    /// Every key that starts with `prefix` (the exact key when `prefix`
+    /// is full-width).
+    pub(crate) fn prefix(prefix: Vec<Value>) -> Self {
+        KeyRange {
+            prefix,
+            from: Bound::Unbounded,
+            to: Bound::Unbounded,
+        }
+    }
+
+    /// Every key in the in-range run of `entries`, a map iterator that
+    /// starts at [`KeyRange::start`], in key order (reversed when
+    /// `reverse`). Keys sharing the lower endpoint but carrying longer
+    /// suffixes sort after the bare start key, so `start` is a correct
+    /// first key for an `Excluded` endpoint too: its equal run is
+    /// skipped here.
+    fn keys_in<'m, P>(
+        &self,
+        entries: impl Iterator<Item = (&'m [Value], P)>,
+        reverse: bool,
+    ) -> Vec<(&'m [Value], P)> {
+        let p = self.prefix.len();
+        let mut keys: Vec<_> = entries
+            .take_while(|(k, _)| {
+                k.starts_with(&self.prefix)
+                    && k.get(p).is_none_or(|v| match &self.to {
+                        Bound::Included(t) => v <= t,
+                        Bound::Excluded(t) => v < t,
+                        Bound::Unbounded => true,
+                    })
+            })
+            .filter(|(k, _)| !matches!(&self.from, Bound::Excluded(f) if k.get(p) == Some(f)))
+            .collect();
+        if reverse {
+            keys.reverse();
+        }
+        keys
+    }
+
+    /// The first key the walk visits: the prefix extended by the lower
+    /// endpoint, if any.
+    fn start(&self) -> Vec<Value> {
+        let mut key = self.prefix.clone();
+        key.extend(self.from.value().cloned());
+        key
     }
 }
 
@@ -779,11 +810,15 @@ impl Table {
 
     /// Snapshot-aware primary-key probe: the row id whose visible
     /// version carries `pk`, if any (at most one can).
-    pub fn find_pk_visible(&self, pk: &Value, snap: &Snapshot) -> Option<RowId> {
+    fn find_pk_visible(&self, pk: &Value, snap: &Snapshot) -> Option<RowId> {
+        self.pk_hit(pk, self.pk_index.get(pk)?, snap)
+    }
+
+    /// The entry of `pk`'s id list (`rids`, newest last) whose visible
+    /// version carries `pk`.
+    fn pk_hit(&self, pk: &Value, rids: &[RowId], snap: &Snapshot) -> Option<RowId> {
         let pos = self.schema.primary_key_pos();
-        self.pk_index
-            .get(pk)?
-            .iter()
+        rids.iter()
             .rev()
             .copied()
             .find(|&rid| self.visible(rid, snap).is_some_and(|r| r.get(pos) == pk))
@@ -886,18 +921,14 @@ impl Table {
         })
     }
 
-    /// Entry filter shared by the snapshot scan variants: keep `rid`
-    /// only when its visible version actually carries the index `key`
-    /// the entry promised. This drops stale entries (the version moved
-    /// away from the key, or is invisible to the snapshot) and
-    /// guarantees a row is returned at most once per scan.
-    fn vis_keep_idx(&self, vis: Option<&Snapshot>, idx: &Index, key: &[Value], rid: RowId) -> bool {
-        match vis {
-            None => true,
-            Some(s) => self
-                .visible(rid, s)
-                .is_some_and(|r| idx.key_pos.iter().zip(key).all(|(&p, kv)| r.get(p) == kv)),
-        }
+    /// Entry filter of the key-range walk: keep `rid` only when its
+    /// version visible to `snap` actually carries the index `key` the
+    /// entry promised. This drops stale entries (the version moved away
+    /// from the key, or is invisible to the snapshot) and guarantees a
+    /// row is returned at most once per walk.
+    fn carries_key(&self, idx: &Index, key: &[Value], rid: RowId, snap: &Snapshot) -> bool {
+        self.visible(rid, snap)
+            .is_some_and(|r| idx.key_pos.iter().zip(key).all(|(&p, kv)| r.get(p) == kv))
     }
 
     // ----- MVCC: versioned writes (engine path) -----
@@ -1413,343 +1444,67 @@ impl Table {
             })
     }
 
-    /// Row ids matching an exact key on `idx` (newest-version view).
-    pub fn index_lookup(&self, idx: &Index, key: &[Value]) -> Vec<RowId> {
-        self.index_lookup_impl(idx, key, None)
-    }
-
-    /// Snapshot-aware [`Table::index_lookup`]: only rows whose version
-    /// visible to `snap` carries `key`.
-    pub fn index_lookup_visible(&self, idx: &Index, key: &[Value], snap: &Snapshot) -> Vec<RowId> {
-        self.index_lookup_impl(idx, key, Some(snap))
-    }
-
-    fn index_lookup_impl(&self, idx: &Index, key: &[Value], vis: Option<&Snapshot>) -> Vec<RowId> {
-        idx.map
-            .get(key)
-            .map(|s| {
-                s.iter()
-                    .copied()
-                    .filter(|&rid| self.vis_keep_idx(vis, idx, key, rid))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Row ids whose primary key falls in `[from, to]`, in key order
-    /// (reversed when `reverse`).
-    pub fn pk_range_scan(
+    /// The one snapshot-aware key-range walk behind every index access:
+    /// row ids from the key `ranges` of `index` (the primary-key index
+    /// when `None`), keeping an id only when its version visible to
+    /// `snap` carries the walked key. Ranges are walked in order and
+    /// keys within a range in key order. `reverse` flips both, but ids
+    /// sharing one key stay in rid (heap) order: that is the tie order
+    /// of the executor's stable sort, so an ordered index walk and
+    /// scan+sort return identical row sequences. A full-width prefix is
+    /// a single map lookup.
+    pub(crate) fn scan_key_ranges(
         &self,
-        from: &crate::plan::Bound,
-        to: &crate::plan::Bound,
-        reverse: bool,
-    ) -> Vec<RowId> {
-        self.pk_range_scan_impl(from, to, reverse, None)
-    }
-
-    /// Snapshot-aware [`Table::pk_range_scan`].
-    pub fn pk_range_scan_visible(
-        &self,
-        from: &crate::plan::Bound,
-        to: &crate::plan::Bound,
+        index: Option<&Index>,
+        ranges: &[KeyRange],
         reverse: bool,
         snap: &Snapshot,
-    ) -> Vec<RowId> {
-        self.pk_range_scan_impl(from, to, reverse, Some(snap))
-    }
-
-    fn pk_range_scan_impl(
-        &self,
-        from: &crate::plan::Bound,
-        to: &crate::plan::Bound,
-        reverse: bool,
-        vis: Option<&Snapshot>,
-    ) -> Vec<RowId> {
-        use std::ops::Bound as B;
-        let lo = match from {
-            crate::plan::Bound::Unbounded => B::Unbounded,
-            crate::plan::Bound::Included(v) => B::Included(v.clone()),
-            crate::plan::Bound::Excluded(v) => B::Excluded(v.clone()),
-        };
-        let hi = match to {
-            crate::plan::Bound::Unbounded => B::Unbounded,
-            crate::plan::Bound::Included(v) => B::Included(v.clone()),
-            crate::plan::Bound::Excluded(v) => B::Excluded(v.clone()),
-        };
-        if range_is_empty(&lo, &hi) {
-            return Vec::new();
-        }
-        let pos = self.schema.primary_key_pos();
-        let mut out: Vec<RowId> = Vec::new();
-        // At most one id per key can match its entry: the live one (no
-        // snapshot) or the one whose visible version carries the key.
-        for (pk, rids) in self.pk_index.range((lo, hi)) {
-            let hit = rids.iter().rev().copied().find(|&rid| match vis {
-                None => self.rows.get(&rid).is_some_and(|r| r.get(pos) == pk),
-                Some(s) => self.visible(rid, s).is_some_and(|r| r.get(pos) == pk),
-            });
-            out.extend(hit);
-        }
-        if reverse {
-            out.reverse();
-        }
-        out
-    }
-
-    /// Row ids from `idx` whose key starts with `eq_prefix` and whose
-    /// next key column lies within `[from, to]`, in full key order
-    /// (reversed when `reverse`).
-    pub fn index_range_scan(
-        &self,
-        idx: &Index,
-        eq_prefix: &[Value],
-        from: &crate::plan::Bound,
-        to: &crate::plan::Bound,
-        reverse: bool,
-    ) -> Vec<RowId> {
-        self.index_range_scan_impl(idx, eq_prefix, from, to, reverse, None)
-    }
-
-    /// Snapshot-aware [`Table::index_range_scan`].
-    pub fn index_range_scan_visible(
-        &self,
-        idx: &Index,
-        eq_prefix: &[Value],
-        from: &crate::plan::Bound,
-        to: &crate::plan::Bound,
-        reverse: bool,
-        snap: &Snapshot,
-    ) -> Vec<RowId> {
-        self.index_range_scan_impl(idx, eq_prefix, from, to, reverse, Some(snap))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn index_range_scan_impl(
-        &self,
-        idx: &Index,
-        eq_prefix: &[Value],
-        from: &crate::plan::Bound,
-        to: &crate::plan::Bound,
-        reverse: bool,
-        vis: Option<&Snapshot>,
-    ) -> Vec<RowId> {
-        use std::ops::Bound as B;
-        let p = eq_prefix.len();
-        debug_assert!(p < idx.def.columns.len(), "range column must exist");
-        // Start at the first key >= prefix + lower endpoint; keys sharing
-        // the endpoint value but carrying longer suffixes sort after the
-        // bare endpoint key, so Included over the extended prefix is a
-        // correct lower bound for Excluded endpoints too (the equal run
-        // is skipped below).
-        let start: B<Vec<Value>> = match from {
-            crate::plan::Bound::Unbounded => {
-                if p == 0 {
-                    B::Unbounded
-                } else {
-                    B::Included(eq_prefix.to_vec())
-                }
-            }
-            crate::plan::Bound::Included(v) | crate::plan::Bound::Excluded(v) => {
-                let mut k = eq_prefix.to_vec();
-                k.push(v.clone());
-                B::Included(k)
-            }
-        };
-        let mut blocks: Vec<Vec<RowId>> = Vec::new();
-        for (key, rids) in idx.map.range((start, B::Unbounded)) {
-            if key.len() <= p || key[..p] != eq_prefix[..] {
-                break;
-            }
-            let kv = &key[p];
-            if let crate::plan::Bound::Excluded(v) = from {
-                if kv == v {
-                    continue;
-                }
-            }
-            match to {
-                crate::plan::Bound::Included(v) => {
-                    if kv > v {
-                        break;
-                    }
-                }
-                crate::plan::Bound::Excluded(v) => {
-                    if kv >= v {
-                        break;
-                    }
-                }
-                crate::plan::Bound::Unbounded => {}
-            }
-            blocks.push(
-                rids.iter()
-                    .copied()
-                    .filter(|&rid| self.vis_keep_idx(vis, idx, key, rid))
-                    .collect(),
-            );
-        }
-        flatten_key_blocks(blocks, reverse)
-    }
-
-    /// Row ids from `idx` whose key starts with `prefix` (a proper prefix
-    /// of the key columns), in full key order (reversed when `reverse`).
-    pub fn index_prefix_scan(&self, idx: &Index, prefix: &[Value], reverse: bool) -> Vec<RowId> {
-        self.index_prefix_scan_impl(idx, prefix, reverse, None)
-    }
-
-    /// Snapshot-aware [`Table::index_prefix_scan`].
-    pub fn index_prefix_scan_visible(
-        &self,
-        idx: &Index,
-        prefix: &[Value],
-        reverse: bool,
-        snap: &Snapshot,
-    ) -> Vec<RowId> {
-        self.index_prefix_scan_impl(idx, prefix, reverse, Some(snap))
-    }
-
-    fn index_prefix_scan_impl(
-        &self,
-        idx: &Index,
-        prefix: &[Value],
-        reverse: bool,
-        vis: Option<&Snapshot>,
-    ) -> Vec<RowId> {
-        use std::ops::Bound as B;
-        let p = prefix.len();
-        let start: B<Vec<Value>> = if p == 0 {
-            B::Unbounded
-        } else {
-            B::Included(prefix.to_vec())
-        };
-        let mut blocks: Vec<Vec<RowId>> = Vec::new();
-        for (key, rids) in idx.map.range((start, B::Unbounded)) {
-            if key.len() < p || key[..p] != prefix[..] {
-                break;
-            }
-            blocks.push(
-                rids.iter()
-                    .copied()
-                    .filter(|&rid| self.vis_keep_idx(vis, idx, key, rid))
-                    .collect(),
-            );
-        }
-        flatten_key_blocks(blocks, reverse)
-    }
-
-    /// Row ids matching any of `keys` on `idx`'s first key column, in
-    /// key order (`keys` must be sorted; reversed when `reverse`). Used
-    /// for `IN (...)` and OR-equality chains.
-    pub fn index_multi_lookup(&self, idx: &Index, keys: &[Value], reverse: bool) -> Vec<RowId> {
-        self.index_multi_lookup_impl(idx, keys, reverse, None)
-    }
-
-    /// Snapshot-aware [`Table::index_multi_lookup`].
-    pub fn index_multi_lookup_visible(
-        &self,
-        idx: &Index,
-        keys: &[Value],
-        reverse: bool,
-        snap: &Snapshot,
-    ) -> Vec<RowId> {
-        self.index_multi_lookup_impl(idx, keys, reverse, Some(snap))
-    }
-
-    fn index_multi_lookup_impl(
-        &self,
-        idx: &Index,
-        keys: &[Value],
-        reverse: bool,
-        vis: Option<&Snapshot>,
     ) -> Vec<RowId> {
         let mut out = Vec::new();
-        let ordered_keys: Vec<&Value> = if reverse {
-            keys.iter().rev().collect()
-        } else {
-            keys.iter().collect()
-        };
-        if idx.def.columns.len() == 1 {
-            // Within one key, postings stay in rid (heap) order even when
-            // the key order is reversed — see flatten_key_blocks.
-            for key in ordered_keys {
-                if let Some(set) = idx.map.get(std::slice::from_ref(key)) {
-                    out.extend(set.iter().copied().filter(|&rid| {
-                        self.vis_keep_idx(vis, idx, std::slice::from_ref(key), rid)
-                    }));
+        let mut walk = |r: &KeyRange| match index {
+            None => {
+                if let [pk] = &r.prefix[..] {
+                    out.extend(self.find_pk_visible(pk, snap));
+                    return;
+                }
+                // A one-column key: a range that is not a point has an
+                // empty prefix, so the lower endpoint is the start key.
+                let entries = self
+                    .pk_index
+                    .range::<Value, _>((r.from.value().map_or(Unbounded, Included), Unbounded))
+                    .map(|(pk, rids)| (std::slice::from_ref(pk), rids));
+                for (pk, rids) in r.keys_in(entries, reverse) {
+                    out.extend(self.pk_hit(&pk[0], rids, snap));
                 }
             }
-        } else {
-            for key in ordered_keys {
-                out.extend(self.index_prefix_scan_impl(
-                    idx,
-                    std::slice::from_ref(key),
-                    reverse,
-                    vis,
-                ));
-            }
-        }
-        out
-    }
-
-    /// Row ids from `idx` whose key starts with `eq_prefix` and whose
-    /// next key column equals any of `keys` — the multi-range scan behind
-    /// `a = ? AND b IN (...)` on an `(a, b, ...)` index. `keys` must be
-    /// sorted; key blocks come back in full key order (reversed when
-    /// `reverse`), so the result is index-key ordered.
-    pub fn index_in_scan(
-        &self,
-        idx: &Index,
-        eq_prefix: &[Value],
-        keys: &[Value],
-        reverse: bool,
-    ) -> Vec<RowId> {
-        self.index_in_scan_impl(idx, eq_prefix, keys, reverse, None)
-    }
-
-    /// Snapshot-aware [`Table::index_in_scan`].
-    pub fn index_in_scan_visible(
-        &self,
-        idx: &Index,
-        eq_prefix: &[Value],
-        keys: &[Value],
-        reverse: bool,
-        snap: &Snapshot,
-    ) -> Vec<RowId> {
-        self.index_in_scan_impl(idx, eq_prefix, keys, reverse, Some(snap))
-    }
-
-    fn index_in_scan_impl(
-        &self,
-        idx: &Index,
-        eq_prefix: &[Value],
-        keys: &[Value],
-        reverse: bool,
-        vis: Option<&Snapshot>,
-    ) -> Vec<RowId> {
-        let p = eq_prefix.len();
-        debug_assert!(p < idx.def.columns.len(), "IN column must exist");
-        let full = p + 1 == idx.def.columns.len();
-        let ordered_keys: Vec<&Value> = if reverse {
-            keys.iter().rev().collect()
-        } else {
-            keys.iter().collect()
-        };
-        let mut out = Vec::new();
-        let mut probe: Vec<Value> = Vec::with_capacity(p + 1);
-        for k in ordered_keys {
-            probe.clear();
-            probe.extend_from_slice(eq_prefix);
-            probe.push((*k).clone());
-            if full {
-                if let Some(set) = idx.map.get(&probe) {
-                    // Postings stay in rid (heap) order within one key.
+            Some(idx) => {
+                let keep = |key: &[Value], set: &BTreeSet<RowId>, out: &mut Vec<RowId>| {
                     out.extend(
                         set.iter()
                             .copied()
-                            .filter(|&rid| self.vis_keep_idx(vis, idx, &probe, rid)),
+                            .filter(|&rid| self.carries_key(idx, key, rid, snap)),
                     );
+                };
+                if r.prefix.len() == idx.key_pos.len() {
+                    if let Some(set) = idx.map.get(&r.prefix) {
+                        keep(&r.prefix, set, &mut out);
+                    }
+                    return;
                 }
-            } else {
-                out.extend(self.index_prefix_scan_impl(idx, &probe, reverse, vis));
+                let start = r.start();
+                let entries = idx
+                    .map
+                    .range::<[Value], _>((Included(&start[..]), Unbounded))
+                    .map(|(key, set)| (&key[..], set));
+                for (key, set) in r.keys_in(entries, reverse) {
+                    keep(key, set, &mut out);
+                }
             }
+        };
+        if reverse {
+            ranges.iter().rev().for_each(&mut walk);
+        } else {
+            ranges.iter().for_each(&mut walk);
         }
         out
     }
@@ -1806,6 +1561,11 @@ mod tests {
         })
         .unwrap();
         t
+    }
+
+    /// Exact-key lookup on `idx` through the key-range walk.
+    fn lookup(t: &Table, idx: &Index, key: &[Value], snap: &Snapshot) -> Vec<RowId> {
+        t.scan_key_ranges(Some(idx), &[KeyRange::prefix(key.to_vec())], false, snap)
     }
 
     #[test]
@@ -1874,12 +1634,12 @@ mod tests {
         let rid = t.insert(row![1i64, "a", "a@x", 30i64]).unwrap();
         t.insert(row![2i64, "b", "b@x", 30i64]).unwrap();
         let idx = t.index_on(&["age".to_string()]).unwrap();
-        assert_eq!(t.index_lookup(idx, &[Value::Int(30)]).len(), 2);
+        assert_eq!(lookup(&t, idx, &[Value::Int(30)], &snap(0)).len(), 2);
         let old = t.update(rid, row![1i64, "a", "a@x", 31i64]).unwrap();
         assert_eq!(old.get(3), &Value::Int(30));
         let idx = t.index_on(&["age".to_string()]).unwrap();
-        assert_eq!(t.index_lookup(idx, &[Value::Int(30)]).len(), 1);
-        assert_eq!(t.index_lookup(idx, &[Value::Int(31)]).len(), 1);
+        assert_eq!(lookup(&t, idx, &[Value::Int(30)], &snap(0)).len(), 1);
+        assert_eq!(lookup(&t, idx, &[Value::Int(31)], &snap(0)).len(), 1);
     }
 
     #[test]
@@ -1891,7 +1651,10 @@ mod tests {
         assert!(matches!(err, StorageError::UniqueViolation { .. }));
         // Old index entries intact.
         let idx = t.index_on(&["email".to_string()]).unwrap();
-        assert_eq!(t.index_lookup(idx, &[Value::Text("a@x".into())]).len(), 1);
+        assert_eq!(
+            lookup(&t, idx, &[Value::Text("a@x".into())], &snap(0)).len(),
+            1
+        );
     }
 
     #[test]
@@ -1912,7 +1675,7 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.find_pk(&Value::Int(1)), None);
         let idx = t.index_on(&["age".to_string()]).unwrap();
-        assert!(t.index_lookup(idx, &[Value::Int(30)]).is_empty());
+        assert!(lookup(&t, idx, &[Value::Int(30)], &snap(0)).is_empty());
         assert!(t.delete(rid).is_none(), "double delete returns None");
     }
 
@@ -1924,7 +1687,7 @@ mod tests {
         t.restore(rid, row);
         assert_eq!(t.find_pk(&Value::Int(1)), Some(rid));
         let idx = t.index_on(&["age".to_string()]).unwrap();
-        assert_eq!(t.index_lookup(idx, &[Value::Int(30)]), vec![rid]);
+        assert_eq!(lookup(&t, idx, &[Value::Int(30)], &snap(0)), vec![rid]);
     }
 
     #[test]
@@ -1939,7 +1702,10 @@ mod tests {
         })
         .unwrap();
         let idx = t.index_on(&["name".to_string()]).unwrap();
-        assert_eq!(t.index_lookup(idx, &[Value::Text("a".into())]).len(), 1);
+        assert_eq!(
+            lookup(&t, idx, &[Value::Text("a".into())], &snap(0)).len(),
+            1
+        );
     }
 
     #[test]
@@ -2136,15 +1902,9 @@ mod tests {
         // The stale age-30 index entry filters out per snapshot.
         let idx_name = "users_age".to_owned();
         let idx = t.index_by_name(&idx_name).unwrap();
-        assert_eq!(
-            t.index_lookup_visible(idx, &[Value::Int(30)], &snap(1)),
-            vec![]
-        );
+        assert_eq!(lookup(&t, idx, &[Value::Int(30)], &snap(1)), vec![]);
         let idx = t.index_by_name(&idx_name).unwrap();
-        assert_eq!(
-            t.index_lookup_visible(idx, &[Value::Int(30)], &snap(0)),
-            vec![rid]
-        );
+        assert_eq!(lookup(&t, idx, &[Value::Int(30)], &snap(0)), vec![rid]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use genie_storage::plan::{AccessPath, Bound};
 use genie_storage::{ColumnDef, Database, Expr, IndexDef, Select, TableSchema, Value, ValueType};
+use std::collections::BTreeSet;
 
 /// A wall-like table: pk `post_id`, FK `user_id`, timestamp `date_posted`,
 /// composite index (user_id, date_posted) plus a single-column status
@@ -330,22 +331,24 @@ fn range_scan_reads_fewer_rows_than_full_scan() {
     assert_eq!(full.cost.rows_scanned, 200);
 }
 
-#[test]
-fn every_path_matches_full_scan_semantics() {
-    let db = wall_db(150);
-    let queries = [
-        "SELECT * FROM wall WHERE post_id = 14",
-        "SELECT * FROM wall WHERE post_id BETWEEN 10 AND 30",
-        "SELECT * FROM wall WHERE post_id >= 140",
-        "SELECT * FROM wall WHERE user_id = 7",
-        "SELECT * FROM wall WHERE user_id = 7 AND date_posted < TS(1100)",
-        "SELECT * FROM wall WHERE status IN (0, 2)",
-        "SELECT * FROM wall WHERE status = 0 OR status = 2",
-        "SELECT * FROM wall WHERE user_id = 7 ORDER BY date_posted DESC",
-        "SELECT * FROM wall WHERE user_id = 7 ORDER BY date_posted ASC LIMIT 3",
-    ];
-    for sql in queries {
+/// Runs every query two ways — as planned and as a forced full scan —
+/// asserts both agree, rows and `COUNT(*)`, and returns the planned rows
+/// and counts. Records the planned path kinds in `kinds`.
+fn run_against_full_scan(
+    db: &Database,
+    queries: &[&str],
+    kinds: &mut BTreeSet<&'static str>,
+) -> Vec<(Vec<genie_storage::Row>, i64)> {
+    let count = |sql: &str| {
+        db.execute_sql(sql, &[]).unwrap().result.rows[0]
+            .get(0)
+            .as_int()
+            .unwrap()
+    };
+    let mut out = Vec::new();
+    for &sql in queries {
         let planned = db.execute_sql(sql, &[]).unwrap();
+        kinds.insert(db.explain_sql(sql, &[]).unwrap().base.path.kind());
         // Defeat the planner by hiding the predicate under a double
         // negation: conjunct extraction does not descend into NOT, and
         // NOT (NOT p) matches exactly the rows p does under three-valued
@@ -354,16 +357,12 @@ fn every_path_matches_full_scan_semantics() {
             Some(i) => sql.split_at(i),
             None => (sql, ""),
         };
-        let scan_sql = format!(
-            "{})){tail}",
-            pred_part.replacen("WHERE ", "WHERE NOT (NOT (", 1)
-        );
+        let scan_pred = pred_part.replacen("WHERE ", "WHERE NOT (NOT (", 1);
+        let scan_sql = format!("{scan_pred})){tail}");
         let scanned = db.execute_sql(&scan_sql, &[]).unwrap();
-        assert_eq!(
-            db.explain_sql(&scan_sql, &[]).unwrap().base.path,
-            AccessPath::TableScan,
-            "{scan_sql}"
-        );
+        let scan_plan = db.explain_sql(&scan_sql, &[]).unwrap().base.path;
+        assert_eq!(scan_plan, AccessPath::TableScan, "{scan_sql}");
+        kinds.insert(scan_plan.kind());
         let key = |r: &genie_storage::Row| r.values().to_vec();
         let mut a = planned.result.rows.clone();
         let mut b = scanned.result.rows.clone();
@@ -373,6 +372,79 @@ fn every_path_matches_full_scan_semantics() {
             b.sort_by_key(key);
         }
         assert_eq!(a, b, "{sql}");
+        // The COUNT(*) form, which the planner may answer by pushdown.
+        let count_sql = pred_part.replacen("SELECT *", "SELECT COUNT(*)", 1);
+        let n = count(&count_sql);
+        let scan_count_sql = format!("{}))", scan_pred.replacen("SELECT *", "SELECT COUNT(*)", 1));
+        assert_eq!(n, count(&scan_count_sql), "{count_sql}");
+        out.push((a, n));
+    }
+    out
+}
+
+#[test]
+fn every_path_matches_full_scan_semantics() {
+    let db = wall_db(150);
+    let queries = [
+        "SELECT * FROM wall WHERE post_id = 14",
+        "SELECT * FROM wall WHERE post_id IN (3, 14, 15, 149)",
+        "SELECT * FROM wall WHERE post_id BETWEEN 10 AND 30",
+        "SELECT * FROM wall WHERE post_id >= 140",
+        "SELECT * FROM wall WHERE post_id BETWEEN 10 AND 30 ORDER BY post_id DESC",
+        "SELECT * FROM wall WHERE user_id = 7",
+        "SELECT * FROM wall WHERE user_id = 7 AND date_posted = TS(1017)",
+        "SELECT * FROM wall WHERE user_id = 7 AND date_posted < TS(1100)",
+        "SELECT * FROM wall WHERE user_id = 7 AND date_posted IN (TS(1007), TS(1017), TS(1020))",
+        "SELECT * FROM wall WHERE status IN (0, 2)",
+        "SELECT * FROM wall WHERE status = 0 OR status = 2",
+        "SELECT * FROM wall WHERE user_id = 7 ORDER BY date_posted DESC",
+        "SELECT * FROM wall WHERE user_id = 7 ORDER BY date_posted ASC LIMIT 3",
+        "SELECT * FROM wall WHERE user_id = 7 AND date_posted < TS(1100) ORDER BY date_posted DESC",
+    ];
+    let mut kinds = BTreeSet::new();
+    let before = run_against_full_scan(&db, &queries, &mut kinds);
+    let all_kinds: BTreeSet<&str> = [
+        "TableScan",
+        "PkEq",
+        "PkOr",
+        "PkRange",
+        "IndexEq",
+        "IndexRange",
+        "IndexPrefixRange",
+        "IndexOr",
+        "IndexInList",
+    ]
+    .into();
+    assert_eq!(kinds, all_kinds);
+
+    // A transaction pinned before another thread moves rows between
+    // keys, re-dates and re-statuses them, deletes some and inserts a
+    // row on probed keys: every path still reads the pinned snapshot,
+    // through stale and newer index entries alike.
+    db.execute_sql("BEGIN", &[]).unwrap();
+    assert_eq!(run_against_full_scan(&db, &queries, &mut kinds), before);
+    let db2 = db.clone();
+    std::thread::spawn(move || {
+        for sql in [
+            "UPDATE wall SET user_id = 7 WHERE post_id IN (3, 13, 23)",
+            "UPDATE wall SET user_id = 4 WHERE post_id IN (17, 27)",
+            "UPDATE wall SET date_posted = TS(1007) WHERE post_id = 37",
+            "UPDATE wall SET date_posted = TS(1500) WHERE post_id = 57",
+            "UPDATE wall SET status = 2 WHERE status = 1 AND post_id < 60",
+            "DELETE FROM wall WHERE post_id IN (14, 15, 20, 147)",
+            "INSERT INTO wall VALUES (200, 7, TS(1017), 0)",
+        ] {
+            db2.execute_sql(sql, &[]).unwrap();
+        }
+    })
+    .join()
+    .unwrap();
+    let pinned = run_against_full_scan(&db, &queries, &mut kinds);
+    assert_eq!(pinned, before, "the pinned snapshot sees no later commit");
+    db.execute_sql("COMMIT", &[]).unwrap();
+    let after = run_against_full_scan(&db, &queries, &mut kinds);
+    for (i, sql) in queries.iter().enumerate() {
+        assert_ne!(after[i], before[i], "{sql} must see the later commits");
     }
 }
 

@@ -652,26 +652,10 @@ pub fn run_concurrent(cfg: &ConcurrencyConfig) -> Result<ConcurrencyResult> {
         }
     }
 
-    // Post-run cross-check on the quiescent system: every cached object
-    // the mix can have touched, for every user.
-    let per_user = [
-        "latest_wall_posts",
-        "wall_post_count",
-        "user_by_id",
-        "profile_by_user",
-        "friends_of_user",
-        "friend_count",
-        "user_bookmark_count",
-    ];
-    for user in 1..=users {
-        let params = [Value::Int(user)];
-        for name in per_user {
-            result.checked_objects += 1;
-            if !env.genie.verify_coherence(name, &params)? {
-                result.coherence_violations += 1;
-            }
-        }
-    }
+    // Post-run cross-check on the quiescent system.
+    let (checked, bad) = genie_social::sweep_coherence(&env.genie, users)?;
+    result.checked_objects += checked;
+    result.coherence_violations += bad.len() as u64;
     if let Some(ws) = env.db.wal_stats() {
         result.wal_records = ws.records;
         result.wal_syncs = ws.syncs;

@@ -10,7 +10,7 @@ use crate::spec::PageMix;
 use genie_server::{Page, Response, ServeClient, Server, ServerConfig, ShutdownReport};
 use genie_sim::{Percentiles, Zipf};
 use genie_social::{build_app, AppConfig, SeedConfig};
-use genie_storage::{Result, StorageError, Value};
+use genie_storage::{Result, StorageError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -308,26 +308,10 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeResult> {
         .snapshot_violations
         .load(std::sync::atomic::Ordering::Relaxed);
     let report = server.shutdown();
-    // The post-drain coherence sweep: every cached object the mix can
-    // have touched, for every user.
-    let per_user = [
-        "latest_wall_posts",
-        "wall_post_count",
-        "user_by_id",
-        "profile_by_user",
-        "friends_of_user",
-        "friend_count",
-        "user_bookmark_count",
-    ];
-    for user in 1..=users as i64 {
-        let params = [Value::Int(user)];
-        for name in per_user {
-            result.checked_objects += 1;
-            if !env.genie.verify_coherence(name, &params)? {
-                result.coherence_violations += 1;
-            }
-        }
-    }
+    // The post-drain coherence sweep.
+    let (checked, bad) = genie_social::sweep_coherence(&env.genie, users as i64)?;
+    result.checked_objects += checked;
+    result.coherence_violations += bad.len() as u64;
     result.shutdown = Some(report);
     Ok(result)
 }

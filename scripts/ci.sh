@@ -49,4 +49,13 @@ cargo run --release -q -p genie-bench --bin exp_wal -- --check --quick > /dev/nu
 echo "==> exp_serve --check (serving path: paced loopback fleet holds the per-page p99 ceiling with zero shed below the admission threshold, overload sheds retryably, drains drop nothing, zero snapshot/coherence violations)"
 cargo run --release -q -p genie-bench --bin exp_serve -- --check --quick > /dev/null
 
+echo "==> wirebench unit tests (the benchmark's generators, percentile rule and trace spans)"
+cargo test --offline -q --manifest-path wirebench/Cargo.toml
+
+for workload in social_mix read_spread; do
+    echo "==> wirebench $workload correctness run (payloads match, zero drops and leaks, 7-object cache coherence)"
+    cargo run --release --offline -q --manifest-path wirebench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
+
 echo "ci.sh: all green"
