@@ -99,6 +99,12 @@ fn main() {
             "view_groups: memberships",
             app.user_groups_qs(user).unwrap().compile(),
         ),
+        // Uncached page chrome run by every page: an ordered, bounded
+        // reverse walk of the user's (user_id, pk) postings.
+        (
+            "chrome: recent saves top-3",
+            app.recent_saves_qs(user).unwrap().compile(),
+        ),
         // COUNT(*) pushdown coverage: page-chrome badge counts answered
         // from posting-list sizes (plan shape carries the count-only
         // marker; rows_scanned must be zero).

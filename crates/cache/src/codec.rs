@@ -5,13 +5,20 @@
 //! module is our equivalent: a small length-prefixed little-endian format
 //! with a checksum, over [`Payload`] values (row sets, counts, raw bytes).
 //! Trigger bodies pay the same decode-modify-encode cost the paper's do.
+//!
+//! Every payload ends in a 4-byte checksum of everything before it. It
+//! is computed a word at a time, and any change confined to one 4-byte
+//! word (so any single corrupted byte) always changes it; a payload from
+//! an older format version fails decoding and is refilled, never served.
 
 use crate::error::{CacheError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use genie_storage::{Row, Value};
 
 const MAGIC: u16 = 0xCA6E;
-const VERSION: u8 = 1;
+/// Bumped whenever the byte layout or the checksum changes, so entries
+/// written in an older format fail decoding and are refilled.
+const VERSION: u8 = 2;
 
 /// A typed cache payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,7 +44,8 @@ pub enum Payload {
 impl Payload {
     /// Encodes the payload with header and trailing checksum.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
+        let len = self.encoded_len();
+        let mut buf = BytesMut::with_capacity(len);
         buf.put_u16_le(MAGIC);
         buf.put_u8(VERSION);
         match self {
@@ -66,9 +74,23 @@ impl Payload {
                 }
             }
         }
-        let sum = fnv1a(&buf);
+        let sum = checksum(&buf);
         buf.put_u32_le(sum);
+        debug_assert_eq!(buf.len(), len);
         buf.freeze()
+    }
+
+    /// Exact length of [`Payload::encode`]'s output.
+    fn encoded_len(&self) -> usize {
+        const HEADER: usize = 4;
+        const TRAILER: usize = 4;
+        let body = match self {
+            Payload::Rows(rows) => 4 + rows.iter().map(encoded_row_len).sum::<usize>(),
+            Payload::Count(_) => 8,
+            Payload::Raw(bytes) => 4 + bytes.len(),
+            Payload::TopK { rows, .. } => 5 + rows.iter().map(encoded_row_len).sum::<usize>(),
+        };
+        HEADER + body + TRAILER
     }
 
     /// Decodes a payload previously produced by [`Payload::encode`].
@@ -83,7 +105,7 @@ impl Payload {
         }
         let (body, sum_bytes) = data.split_at(data.len() - 4);
         let stored = u32::from_le_bytes(sum_bytes.try_into().expect("4 bytes"));
-        if fnv1a(body) != stored {
+        if checksum(body) != stored {
             return Err(CacheError::Codec("checksum mismatch".into()));
         }
         let mut buf = body;
@@ -164,6 +186,19 @@ fn checked_u32(buf: &mut &[u8], what: &str) -> Result<u32> {
         return Err(CacheError::Codec(format!("truncated {what}")));
     }
     Ok(buf.get_u32_le())
+}
+
+fn encoded_row_len(row: &Row) -> usize {
+    4 + row
+        .values()
+        .iter()
+        .map(|v| match v {
+            Value::Null => 1,
+            Value::Bool(_) => 2,
+            Value::Int(_) | Value::Float(_) | Value::Timestamp(_) => 9,
+            Value::Text(s) => 5 + s.len(),
+        })
+        .sum::<usize>()
 }
 
 fn encode_row(buf: &mut BytesMut, row: &Row) {
@@ -255,13 +290,39 @@ fn decode_value(buf: &mut &[u8]) -> Result<Value> {
     }
 }
 
-fn fnv1a(data: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c9dc5;
-    for &b in data {
-        hash ^= b as u32;
-        hash = hash.wrapping_mul(0x01000193);
+/// The payload checksum: four interleaved 32-bit lanes, each absorbing
+/// every fourth little-endian word, then folded together with the length.
+///
+/// Each step `lane = rotl((lane ^ word) * K, 13)` is a bijection in the
+/// word for a fixed lane and in the lane for a fixed word (K is odd), and
+/// so is each fold step. Changing any one word therefore changes its lane,
+/// every later state, and the result: any single corrupted byte is caught.
+/// The independent lanes let the multiplies overlap, so the loop runs
+/// several times faster than a byte-at-a-time hash.
+fn checksum(data: &[u8]) -> u32 {
+    const K: u32 = 0x9E37_79B1;
+    fn absorb(lanes: &mut [u32; 4], block: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+            let w = u32::from_le_bytes(word.try_into().expect("4 bytes"));
+            *lane = (*lane ^ w).wrapping_mul(K).rotate_left(13);
+        }
     }
-    hash
+    let mut lanes = [0x811C_9DC5, 0x0100_0193, 0x85EB_CA6B, 0xC2B2_AE35];
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        absorb(&mut lanes, block);
+    }
+    let rest = blocks.remainder();
+    if !rest.is_empty() {
+        let mut tail = [0u8; 16];
+        tail[..rest.len()].copy_from_slice(rest);
+        absorb(&mut lanes, &tail);
+    }
+    let mut hash = data.len() as u32;
+    for lane in lanes {
+        hash = (hash ^ lane).wrapping_mul(K).rotate_left(13);
+    }
+    hash ^ (hash >> 16)
 }
 
 /// 64-bit hash of a key, used by the consistent-hash ring.
@@ -347,10 +408,43 @@ mod tests {
         bytes[0] = 0;
         // Fix up checksum so only the magic check can fail.
         let body_len = bytes.len() - 4;
-        let sum = fnv1a(&bytes[..body_len]);
+        let sum = checksum(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         let err = Payload::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("magic"));
+    }
+
+    /// Every byte of every payload shape, flipped under several masks,
+    /// must fail decoding: the checksum covers each byte on its own.
+    #[test]
+    fn every_single_byte_corruption_detected() {
+        let rows = vec![
+            row![1i64, "alice", true, 2.5f64],
+            row![Value::Null, Value::Timestamp(99), "a longer text value!"],
+            row![-7i64, "", false],
+        ];
+        let payloads = [
+            Payload::Rows(rows.clone()),
+            Payload::TopK {
+                rows,
+                complete: false,
+            },
+        ];
+        for p in payloads {
+            let enc = p.encode().to_vec();
+            assert_eq!(Payload::decode(&enc).unwrap(), p);
+            for i in 0..enc.len() {
+                for mask in [0x01u8, 0x80, 0xFF] {
+                    let mut bad = enc.clone();
+                    bad[i] ^= mask;
+                    assert!(
+                        matches!(Payload::decode(&bad), Err(CacheError::Codec(_))),
+                        "byte {i} ^ {mask:#x} of {} bytes went undetected",
+                        enc.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

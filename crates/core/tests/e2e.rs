@@ -6,7 +6,7 @@ use cachegenie::{
     CacheGenie, CacheableDef, ConsistencyStrategy, GenieConfig, SortOrder, StrictTxnManager,
     TxnOutcome,
 };
-use genie_cache::{CacheCluster, ClusterConfig};
+use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig};
 use genie_orm::{FieldDef, ModelDef, ModelRegistry, OrmSession};
 use genie_storage::{Database, StorageError, Value, ValueType};
 use std::sync::Arc;
@@ -212,6 +212,56 @@ fn invalidate_strategy_deletes_then_refills() {
     assert!(!refill.from_cache);
     assert_eq!(refill.rows[0].get("bio"), &Value::Text("y".into()));
     assert!(e.session.all(&qs).unwrap().from_cache);
+}
+
+/// A cached entry written by the previous codec version (same layout,
+/// version byte 1, FNV-1a trailer) must be rejected and refilled from the
+/// database, never served — even when its contents look well-formed.
+#[test]
+fn previous_codec_version_entry_is_refilled_not_served() {
+    fn fnv1a(data: &[u8]) -> u32 {
+        data.iter().fold(0x811c9dc5u32, |h, &b| {
+            (h ^ u32::from(b)).wrapping_mul(0x01000193)
+        })
+    }
+    let e = env();
+    e.genie.cacheable(profile_def()).unwrap();
+    let id = e
+        .session
+        .create(
+            "Profile",
+            &[("user_id", 1i64.into()), ("bio", "old".into())],
+        )
+        .unwrap()
+        .new_id
+        .unwrap();
+    let qs = e
+        .session
+        .objects("Profile")
+        .unwrap()
+        .filter_eq("user_id", 1i64);
+    assert!(!e.session.all(&qs).unwrap().from_cache);
+    let key = e
+        .genie
+        .key_for("cached_user_profile", &[1i64.into()])
+        .unwrap();
+    let cache = e.genie.cluster().handle(CacheOrigin::Application);
+    let mut v1 = cache.get(&key).unwrap().to_vec();
+    let body_len = v1.len() - 4;
+    v1[2] = 1;
+    let sum = fnv1a(&v1[..body_len]);
+    v1[body_len..].copy_from_slice(&sum.to_le_bytes());
+
+    e.session
+        .update_by_id("Profile", id, &[("bio", "new".into())])
+        .unwrap();
+    cache.set(&key, v1.into(), None).unwrap();
+    let refill = e.session.all(&qs).unwrap();
+    assert!(!refill.from_cache, "an old-version entry was served");
+    assert_eq!(refill.rows[0].get("bio"), &Value::Text("new".into()));
+    let hit = e.session.all(&qs).unwrap();
+    assert!(hit.from_cache, "the refill did not land");
+    assert_eq!(hit.rows[0].get("bio"), &Value::Text("new".into()));
 }
 
 #[test]

@@ -68,13 +68,13 @@ impl OrmRow {
         OrmRow { columns, row }
     }
 
-    /// Converts a whole [`QueryResult`] into rows.
-    pub fn from_result(result: &QueryResult) -> Vec<OrmRow> {
-        let cols = std::sync::Arc::new(result.columns.clone());
+    /// Converts a whole [`QueryResult`] into rows, moving them out of it.
+    pub fn from_result(result: QueryResult) -> Vec<OrmRow> {
+        let cols = std::sync::Arc::new(result.columns);
         result
             .rows
-            .iter()
-            .map(|r| OrmRow::new(std::sync::Arc::clone(&cols), r.clone()))
+            .into_iter()
+            .map(|r| OrmRow::new(std::sync::Arc::clone(&cols), r))
             .collect()
     }
 

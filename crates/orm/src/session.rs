@@ -151,7 +151,7 @@ impl OrmSession {
                     from_cache,
                 } => {
                     return Ok(ReadOutcome {
-                        rows: OrmRow::from_result(&result),
+                        rows: OrmRow::from_result(result),
                         db_cost,
                         cache_ops,
                         from_cache,
@@ -164,7 +164,7 @@ impl OrmSession {
                     let out = self.db.select(select, params)?;
                     let fill_ops = ic.fill(&fill_key, &out.result);
                     return Ok(ReadOutcome {
-                        rows: OrmRow::from_result(&out.result),
+                        rows: OrmRow::from_result(out.result),
                         db_cost: out.cost,
                         cache_ops: cache_ops + fill_ops,
                         from_cache: false,
@@ -175,7 +175,7 @@ impl OrmSession {
         }
         let out = self.db.select(select, params)?;
         Ok(ReadOutcome {
-            rows: OrmRow::from_result(&out.result),
+            rows: OrmRow::from_result(out.result),
             db_cost: out.cost,
             cache_ops: 0,
             from_cache: false,

@@ -137,6 +137,17 @@ impl SocialApp {
             .filter_eq("user_id", user))
     }
 
+    /// The page chrome's recent-activity lookup: the user's three newest
+    /// bookmark saves. No cached object matches it, so every page runs it
+    /// against the database.
+    pub fn recent_saves_qs(&self, user: i64) -> Result<QuerySet> {
+        Ok(self
+            .qs("BookmarkInstance")?
+            .filter_eq("user_id", user)
+            .order_by("-id")
+            .limit(3))
+    }
+
     /// `friend_bookmarks` link shape (join on a non-PK column pair).
     pub fn friend_bookmarks_qs(&self, user: i64) -> Result<QuerySet> {
         let bmi = self.session.registry().model("BookmarkInstance")?.clone();
@@ -205,15 +216,7 @@ impl SocialApp {
                 .filter_eq("group_id", 1 + user % 3),
         )?;
         stats.read(&out);
-        stats.read(
-            &self.session.all(
-                &self
-                    .qs("BookmarkInstance")?
-                    .filter_eq("user_id", user)
-                    .order_by("-id")
-                    .limit(3),
-            )?,
-        );
+        stats.read(&self.session.all(&self.recent_saves_qs(user)?)?);
         // Reverse-direction friendship check (keyed on friend_id, which no
         // cached object covers).
         stats.read(

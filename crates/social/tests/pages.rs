@@ -176,3 +176,53 @@ fn trigger_overhead_shows_up_on_write_pages() {
     assert!(w.db_cost.triggers_fired >= 1, "{:?}", w.db_cost);
     assert!(w.db_cost.trigger_connections >= 1);
 }
+
+/// The uncached page chrome's "three newest saves" query reads three
+/// rows and sorts none however long the user's history grows: it is a
+/// bounded reverse walk of the user's `(user_id, pk)` postings, not a
+/// scan-and-sort of every bookmark they ever saved.
+#[test]
+fn chrome_top3_cost_stays_flat_as_history_grows() {
+    let env = build_app(&cfg(None)).unwrap();
+    let (app, user) = (&env.app, 1i64);
+    let saves = app
+        .session()
+        .objects("BookmarkInstance")
+        .unwrap()
+        .filter_eq("user_id", user);
+    let (mut history, _) = app.session().count(&saves).unwrap();
+    let (sel, params) = app.recent_saves_qs(user).unwrap().compile();
+    let mut created = Vec::new();
+    let mut costs = Vec::new();
+    for target in [10i64, 2_000] {
+        while history < target {
+            let w = app
+                .session()
+                .create(
+                    "BookmarkInstance",
+                    &[
+                        ("bookmark_id", 1i64.into()),
+                        ("user_id", user.into()),
+                        ("description", "saved".into()),
+                        ("saved", genie_storage::Value::Timestamp(app.next_ts())),
+                    ],
+                )
+                .unwrap();
+            created.push(w.new_id.unwrap());
+            history += 1;
+        }
+        assert_eq!(app.session().count(&saves).unwrap().0, target);
+        let out = env.db.select(&sel, &params).unwrap();
+        let ids: Vec<i64> = out
+            .result
+            .rows
+            .iter()
+            .map(|r| r.get(0).as_int().unwrap())
+            .collect();
+        let newest: Vec<i64> = created.iter().rev().take(3).copied().collect();
+        assert_eq!(ids, newest, "{target} saves: not the three newest");
+        costs.push((out.cost.rows_scanned, out.cost.sort_rows, out.cost.sorts));
+    }
+    assert_eq!(costs[0], (3, 0, 0), "10 saves: {costs:?}");
+    assert_eq!(costs[1], costs[0], "cost grew with history: {costs:?}");
+}

@@ -38,7 +38,7 @@ use crate::latch::TableSet;
 use crate::lockmgr::TxnId;
 use crate::query::{AggFunc, Delete, Insert, JoinKind, QueryResult, Select, SelectItem, Update};
 use crate::row::{Row, RowId};
-use crate::table::{KeyRange, Snapshot, Table};
+use crate::table::{KeyRange, Snapshot, Table, Ties};
 use crate::trigger::TriggerEvent;
 use crate::value::Value;
 
@@ -242,9 +242,10 @@ fn plan_write_rids(
 ) -> Result<Vec<RowId>> {
     let plan = crate::plan::plan_access(table, binding, pred, &[], params)?;
     let candidates = match crate::plan::execute_path(table, &plan, cost, snap) {
-        Some(mut rids) => {
+        Some(walk) => {
             // Writes process rows in heap order whatever path found them,
             // so trigger firing order matches the pre-planner engine.
+            let mut rids: Vec<RowId> = walk.collect();
             rids.sort_unstable();
             rids
         }
@@ -354,7 +355,8 @@ fn join_step(
                 Vec::new()
             } else {
                 let v = coerce_for(jt, jt.schema().primary_key(), &v);
-                jt.scan_key_ranges(None, &[KeyRange::prefix(vec![v])], false, snap)
+                jt.scan_key_ranges(None, vec![KeyRange::prefix(vec![v])], false, Ties::Pk, snap)
+                    .collect()
             }
         }
         BoundMethod::Index(idx, outers) => {
@@ -373,7 +375,16 @@ fn join_step(
             if null_key {
                 Vec::new()
             } else {
-                jt.scan_key_ranges(Some(idx), &[KeyRange::prefix(key)], false, snap)
+                // Rid ties: probe matches come out in heap order, as a
+                // nested scan would produce them.
+                jt.scan_key_ranges(
+                    Some(idx),
+                    vec![KeyRange::prefix(key)],
+                    false,
+                    Ties::Rid,
+                    snap,
+                )
+                .collect()
             }
         }
         BoundMethod::Scan => jt.scan_rids(),
@@ -486,25 +497,33 @@ pub(crate) fn run_select(
     };
 
     // --- base scan + pipeline ---
-    let mut rids = crate::plan::execute_path(base, &qplan.base, cost, snap);
-    if let Some(r) = rids.as_mut() {
-        if !qplan.order_satisfied {
-            // Path order only matters when the executor keeps it (sort
-            // skipped). Otherwise restore heap order so the stable sort
-            // breaks ties identically with and without indexes — and
-            // unordered queries return heap order like a full scan.
-            r.sort_unstable();
-        }
-    }
-    let rid_list: Vec<RowId> = match rids {
-        Some(rids) => rids,
-        None => base.scan_rids(),
-    };
-
     // With `fetch_limit` the pipeline's output order is final, so the
     // scan stops as soon as enough output rows exist — this is what cuts
     // Top-K page-query tail latency from O(matches) to O(k).
     let target = qplan.fetch_limit.map(|k| k as usize);
+    let walk = crate::plan::execute_path(base, &qplan.base, cost, snap);
+    // An ordered, fetch-limited walk stays lazy: the scan pulls ids only
+    // until it has its output rows, so it never lists the whole path.
+    let (rid_list, lazy_walk) = match walk {
+        Some(walk) if qplan.order_satisfied && target.is_some() => (Vec::new(), Some(walk)),
+        Some(walk) => {
+            let mut rids: Vec<RowId> = walk.collect();
+            if !qplan.order_satisfied {
+                // Path order only matters when the executor keeps it
+                // (sort skipped). Otherwise restore heap order so the
+                // stable sort breaks ties identically with and without
+                // indexes — and unordered queries return heap order like
+                // a full scan.
+                rids.sort_unstable();
+            }
+            (rids, None)
+        }
+        None => (base.scan_rids(), None),
+    };
+    let ids: Box<dyn Iterator<Item = RowId> + '_> = match lazy_walk {
+        Some(walk) => Box::new(walk),
+        None => Box::new(rid_list.iter().copied()),
+    };
 
     // Bounded top-k: when the ORDER BY is not index-satisfied but LIMIT k
     // is present, keep only the best `LIMIT + OFFSET` rows during the
@@ -571,7 +590,20 @@ pub(crate) fn run_select(
     }
 
     let mut current: Vec<Row> = Vec::new();
-    if vectorized {
+    if let (true, Some(t)) = (vectorized, target) {
+        debug_assert!(topk.is_none(), "fetch_limit implies no late sort");
+        scan_limited(
+            base,
+            ids,
+            bound_pred.as_ref(),
+            params,
+            pool,
+            cost,
+            snap,
+            t,
+            &mut current,
+        )?;
+    } else if vectorized {
         scan_vectorized(
             base,
             &rid_list,
@@ -580,13 +612,12 @@ pub(crate) fn run_select(
             pool,
             cost,
             snap,
-            target,
             &mut topk,
             &mut current,
             opts,
         )?;
     } else {
-        'scan: for rid in rid_list {
+        'scan: for rid in ids {
             touch_read(pool, base, rid, cost);
             let Some(r0) = base.visible(rid, snap) else {
                 continue;
@@ -896,8 +927,8 @@ impl<'a> RowBatch<'a> {
 }
 
 /// The vectorized join-free scan. Serial by default; with `workers > 1`
-/// and a large enough rid list (and no early-exit target), morsels are
-/// distributed to worker threads.
+/// and a large enough rid list, morsels are distributed to worker
+/// threads.
 #[allow(clippy::too_many_arguments)]
 fn scan_vectorized(
     base: &Table,
@@ -907,13 +938,12 @@ fn scan_vectorized(
     pool: &BufferPool,
     cost: &mut CostReport,
     snap: &Snapshot,
-    target: Option<usize>,
     topk: &mut Option<TopK>,
     out: &mut Vec<Row>,
     opts: &ScanOpts,
 ) -> Result<()> {
     let compiled = CompiledPred::compile(pred, params);
-    if opts.workers > 1 && rid_list.len() >= PARALLEL_MIN_RIDS && target.is_none() {
+    if opts.workers > 1 && rid_list.len() >= PARALLEL_MIN_RIDS {
         return scan_parallel(
             base,
             rid_list,
@@ -927,27 +957,6 @@ fn scan_vectorized(
             opts.workers,
         );
     }
-    if let Some(t) = target {
-        // Early-exit shape: rid-at-a-time so the scan stops at exactly
-        // the same row — and the same cost — as the row engine. The win
-        // here is the compiled predicate on the borrowed row: no clone
-        // unless the row matches.
-        debug_assert!(topk.is_none(), "fetch_limit implies no late sort");
-        for &rid in rid_list {
-            touch_read(pool, base, rid, cost);
-            let Some(r) = base.visible(rid, snap) else {
-                continue;
-            };
-            cost.rows_scanned += 1;
-            if compiled.matches(r, params)? {
-                out.push(r.clone());
-                if out.len() >= t {
-                    break;
-                }
-            }
-        }
-        return Ok(());
-    }
     for chunk in rid_list.chunks(BATCH_ROWS) {
         let mut batch = RowBatch::gather(base, chunk, pool, cost, snap);
         batch.filter(&compiled, params)?;
@@ -955,6 +964,40 @@ fn scan_vectorized(
             match topk.as_mut() {
                 Some(tk) => tk.offer(r.clone(), params)?,
                 None => out.push(r.clone()),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The early-exit shape of the vectorized scan, for `fetch_limit` plans:
+/// rid-at-a-time, pulling `rids` only until `target` rows match, so the
+/// scan stops at exactly the same row — and the same cost — as the row
+/// engine. The win here is the compiled predicate on the borrowed row:
+/// no clone unless the row matches.
+#[allow(clippy::too_many_arguments)]
+fn scan_limited(
+    base: &Table,
+    rids: impl Iterator<Item = RowId>,
+    pred: Option<&Expr>,
+    params: &[Value],
+    pool: &BufferPool,
+    cost: &mut CostReport,
+    snap: &Snapshot,
+    target: usize,
+    out: &mut Vec<Row>,
+) -> Result<()> {
+    let compiled = CompiledPred::compile(pred, params);
+    for rid in rids {
+        touch_read(pool, base, rid, cost);
+        let Some(r) = base.visible(rid, snap) else {
+            continue;
+        };
+        cost.rows_scanned += 1;
+        if compiled.matches(r, params)? {
+            out.push(r.clone());
+            if out.len() >= target {
+                break;
             }
         }
     }
@@ -1182,7 +1225,7 @@ fn run_count_only(
     snap: &Snapshot,
 ) -> Result<QueryResult> {
     let n = match crate::plan::execute_path(base, &qplan.base, cost, snap) {
-        Some(rids) => rids.len(),
+        Some(walk) => walk.count(),
         None => base.visible_len(snap),
     } as i64;
     let alias = match &sel.projection[..] {

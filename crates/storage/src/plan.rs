@@ -44,7 +44,9 @@
 //!
 //! Index scans yield rows in index-key order, so the planner also decides
 //! whether the chosen path already satisfies `ORDER BY` (possibly by
-//! scanning in reverse), letting the executor skip the sort.
+//! scanning in reverse), letting the executor skip the sort. A secondary
+//! index's postings are ordered by `(key, pk)`, so the primary key counts
+//! as an implicit last index column ([`Plan::pk_order`]).
 
 use crate::cost::CostReport;
 use crate::error::Result;
@@ -53,7 +55,7 @@ use crate::latch::TableSet;
 use crate::query::{AggFunc, JoinKind, OrderKey, Select, SelectItem};
 use crate::row::Row;
 use crate::stats::ColumnStats;
-use crate::table::{Index, KeyRange, Table};
+use crate::table::{Index, KeyRange, Table, Ties};
 use crate::value::Value;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -201,6 +203,11 @@ pub struct Plan {
     /// True when the path must be scanned in reverse to satisfy a
     /// descending ORDER BY.
     pub reverse: bool,
+    /// True when the satisfied ORDER BY runs into a secondary index's
+    /// implicit primary-key suffix: ids sharing one index key come back
+    /// in pk order, so a LIMIT can stop the walk inside a posting list.
+    /// Otherwise ids sharing a key come back in rid (heap) order.
+    pub pk_order: bool,
 }
 
 impl fmt::Display for Plan {
@@ -575,16 +582,38 @@ fn order_columns<'a>(
     Some(out)
 }
 
-/// Decides whether `remaining` index key columns satisfy the ORDER BY,
-/// after dropping order keys pinned to a constant by an equality
-/// constraint. Returns `(satisfied, reverse)`.
+/// How an access path's walk order meets the statement's ORDER BY.
+#[derive(Debug, Clone, Copy, Default)]
+struct OrderFit {
+    /// The walk yields rows in ORDER BY order.
+    satisfied: bool,
+    /// It does so when walked in reverse.
+    reverse: bool,
+    /// The ORDER BY runs into the index's implicit pk suffix (see
+    /// [`Plan::pk_order`]).
+    pk_order: bool,
+}
+
+/// A path that yields at most one row, or whose ORDER BY keys are all
+/// pinned to constants: any order is the order.
+const ANY_ORDER: OrderFit = OrderFit {
+    satisfied: true,
+    reverse: false,
+    pk_order: false,
+};
+
+/// Decides whether `remaining` index key columns — followed by the
+/// implicit `pk_suffix` column of a secondary index, whose postings are
+/// ordered by `(key, pk)` — satisfy the ORDER BY, after dropping order
+/// keys pinned to a constant by an equality constraint.
 fn order_match(
     order: &Option<Vec<(&str, bool)>>,
     cons: &Constraints,
     remaining: &[String],
-) -> (bool, bool) {
+    pk_suffix: Option<&str>,
+) -> OrderFit {
     let Some(order) = order else {
-        return (false, false);
+        return OrderFit::default();
     };
     // Order keys on eq-constrained columns are constant across survivors.
     let effective: Vec<&(&str, bool)> = order
@@ -592,23 +621,30 @@ fn order_match(
         .filter(|(c, _)| cons.eq_value(c).is_none())
         .collect();
     if effective.is_empty() {
-        return (true, false);
+        return ANY_ORDER;
     }
     // The order must cover *every* remaining key column, not just a
     // prefix: otherwise rows tying on the ORDER BY keys would come back
     // in trailing-key-column order instead of the heap (rid) tie order
     // the stable sort produces, and results would change with the set of
-    // available indexes.
-    if effective.len() != remaining.len() {
-        return (false, false);
+    // available indexes. It may go on to name the pk suffix, after which
+    // no two rows tie.
+    let pk_order = effective.len() == remaining.len() + 1
+        && pk_suffix.is_some_and(|pk| effective[remaining.len()].0 == pk);
+    if effective.len() != remaining.len() && !pk_order {
+        return OrderFit::default();
     }
     let desc = effective[0].1;
-    for (i, (col, d)) in effective.iter().enumerate() {
-        if *d != desc || remaining[i] != *col {
-            return (false, false);
-        }
+    let aligned = effective.iter().all(|(_, d)| *d == desc)
+        && remaining.iter().zip(&effective).all(|(k, (c, _))| k == c);
+    if !aligned {
+        return OrderFit::default();
     }
-    (true, desc)
+    OrderFit {
+        satisfied: true,
+        reverse: desc,
+        pk_order,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -657,40 +693,41 @@ fn plan_access_impl(
     // the choice never flip-flops between runs.
     const TIE_EPS: f64 = 1e-6;
     let mut best: Option<(Plan, f64)> = None;
-    let mut consider =
-        |path: AccessPath, rows: f64, probes: f64, satisfied: bool, rev: bool, tie_rank: f64| {
-            let absorbing = count_mode
-                && path_absorbs_predicate(table, binding, pred, &path, params).unwrap_or(false);
-            let mut cost = if absorbing {
-                // Count-only execution reads posting-block sizes; no
-                // heap rows are ever materialized.
-                scan_cost(0.0, probes, rpp)
-            } else {
-                scan_cost(rows, probes, rpp)
-            };
-            if charge_sort && has_order && !satisfied && !absorbing {
-                cost += sort_cost(rows);
-            }
-            let cand = Plan {
-                table: table.schema().name().to_owned(),
-                path,
-                estimated_rows: rows,
-                estimated_cost: cost,
-                order_satisfied: satisfied && has_order,
-                reverse: rev && satisfied && has_order,
-            };
-            let replaces = match &best {
-                None => true,
-                Some((b, rank)) => {
-                    cand.estimated_cost < b.estimated_cost - TIE_EPS
-                        || ((cand.estimated_cost - b.estimated_cost).abs() <= TIE_EPS
-                            && tie_rank > *rank)
-                }
-            };
-            if replaces {
-                best = Some((cand, tie_rank));
+    let mut consider = |path: AccessPath, rows: f64, probes: f64, fit: OrderFit, tie_rank: f64| {
+        let absorbing = count_mode
+            && path_absorbs_predicate(table, binding, pred, &path, params).unwrap_or(false);
+        let mut cost = if absorbing {
+            // Count-only execution reads posting-block sizes; no
+            // heap rows are ever materialized.
+            scan_cost(0.0, probes, rpp)
+        } else {
+            scan_cost(rows, probes, rpp)
+        };
+        let ordered = fit.satisfied && has_order;
+        if charge_sort && has_order && !ordered && !absorbing {
+            cost += sort_cost(rows);
+        }
+        let cand = Plan {
+            table: table.schema().name().to_owned(),
+            path,
+            estimated_rows: rows,
+            estimated_cost: cost,
+            order_satisfied: ordered,
+            reverse: fit.reverse && ordered,
+            pk_order: fit.pk_order && ordered,
+        };
+        let replaces = match &best {
+            None => true,
+            Some((b, rank)) => {
+                cand.estimated_cost < b.estimated_cost - TIE_EPS
+                    || ((cand.estimated_cost - b.estimated_cost).abs() <= TIE_EPS
+                        && tie_rank > *rank)
             }
         };
+        if replaces {
+            best = Some((cand, tie_rank));
+        }
+    };
 
     let pk = table.schema().primary_key();
 
@@ -700,24 +737,23 @@ fn plan_access_impl(
             AccessPath::PkEq { key: v.clone() },
             1.0,
             1.0,
-            true,
-            false,
+            ANY_ORDER,
             100.0,
         );
     } else if let Some(keys) = cons.get(pk).and_then(|c| c.in_keys.clone()) {
         // 2. Multi-key primary-key lookup: `pk IN (...)`. Sorted keys
         // yield pk order.
         let k = keys.len() as f64;
-        let (sat, rev) = order_match(&order, &cons, &[pk.to_owned()]);
-        consider(AccessPath::PkOr { keys }, k, k, sat, rev, 90.0);
+        let fit = order_match(&order, &cons, &[pk.to_owned()], None);
+        consider(AccessPath::PkOr { keys }, k, k, fit, 90.0);
     } else if let Some(c) = cons.get(pk) {
         // 3. Primary-key range scan.
         let from = c.lower.clone().unwrap_or(Bound::Unbounded);
         let to = c.upper.clone().unwrap_or(Bound::Unbounded);
         if from.is_bounded() || to.is_bounded() {
             let rows = n * range_selectivity(table, pk, &from, &to);
-            let (sat, rev) = order_match(&order, &cons, &[pk.to_owned()]);
-            consider(AccessPath::PkRange { from, to }, rows, 1.0, sat, rev, 15.0);
+            let fit = order_match(&order, &cons, &[pk.to_owned()], None);
+            consider(AccessPath::PkRange { from, to }, rows, 1.0, fit, 15.0);
         }
     }
 
@@ -774,10 +810,10 @@ fn plan_access_impl(
             let rows = (n * prefix_sel(width)).max(1.0);
             // A unique full-key match yields at most one row, which is
             // trivially ordered.
-            let (sat, _) = if idx.def().unique {
-                (true, false)
+            let fit = if idx.def().unique {
+                ANY_ORDER
             } else {
-                order_match(&order, &cons, &[])
+                order_match(&order, &cons, &[], Some(pk))
             };
             consider(
                 AccessPath::IndexEq {
@@ -786,8 +822,7 @@ fn plan_access_impl(
                 },
                 rows,
                 1.0,
-                sat,
-                false,
+                fit,
                 width * 10.0,
             );
             continue;
@@ -811,8 +846,7 @@ fn plan_access_impl(
                         },
                         0.0,
                         0.0,
-                        true,
-                        false,
+                        ANY_ORDER,
                         200.0,
                     );
                     continue;
@@ -827,7 +861,7 @@ fn plan_access_impl(
                 // Sorted keys scanned in order yield (prefix, in-col,
                 // trailing...) lexicographic order, so order_match treats
                 // the IN column like the leading remaining key column.
-                let (sat, rev) = order_match(&order, &cons, remaining);
+                let fit = order_match(&order, &cons, remaining, Some(pk));
                 consider(
                     AccessPath::IndexInList {
                         index: idx.def().name.clone(),
@@ -836,8 +870,7 @@ fn plan_access_impl(
                     },
                     rows,
                     k,
-                    sat,
-                    rev,
+                    fit,
                     p as f64 * 10.0 + 6.0,
                 );
                 // Fall through: a huge IN list costs one probe per key,
@@ -856,7 +889,7 @@ fn plan_access_impl(
             // Equality prefix plus a range on the next key column.
             let rows = (n * prefix_sel(p as f64) * range_selectivity(table, next_col, &from, &to))
                 .max(1.0);
-            let (sat, rev) = order_match(&order, &cons, remaining);
+            let fit = order_match(&order, &cons, remaining, Some(pk));
             consider(
                 AccessPath::IndexRange {
                     index: idx.def().name.clone(),
@@ -866,8 +899,7 @@ fn plan_access_impl(
                 },
                 rows,
                 1.0,
-                sat,
-                rev,
+                fit,
                 p as f64 * 10.0 + 5.0,
             );
             continue;
@@ -875,7 +907,7 @@ fn plan_access_impl(
 
         if p > 0 {
             let rows = (n * prefix_sel(p as f64)).max(1.0);
-            let (sat, rev) = order_match(&order, &cons, remaining);
+            let fit = order_match(&order, &cons, remaining, Some(pk));
             consider(
                 AccessPath::IndexPrefixRange {
                     index: idx.def().name.clone(),
@@ -883,8 +915,7 @@ fn plan_access_impl(
                 },
                 rows,
                 1.0,
-                sat,
-                rev,
+                fit,
                 p as f64 * 10.0,
             );
             continue;
@@ -899,7 +930,7 @@ fn plan_access_impl(
                 // full-coverage rule keeps the claim to single-column
                 // indexes (a wider index would order same-first-column
                 // ties by its trailing columns).
-                let (sat, rev) = order_match(&order, &cons, columns);
+                let fit = order_match(&order, &cons, columns, Some(pk));
                 consider(
                     AccessPath::IndexOr {
                         index: idx.def().name.clone(),
@@ -907,8 +938,7 @@ fn plan_access_impl(
                     },
                     rows,
                     k,
-                    sat,
-                    rev,
+                    fit,
                     5.0,
                 );
                 continue;
@@ -922,8 +952,7 @@ fn plan_access_impl(
                     },
                     0.0,
                     0.0,
-                    true,
-                    false,
+                    ANY_ORDER,
                     200.0,
                 );
                 continue;
@@ -932,8 +961,8 @@ fn plan_access_impl(
 
         // No usable predicate — but a full ordered index scan can still
         // beat scan+sort when it satisfies the ORDER BY.
-        let (sat, rev) = order_match(&order, &cons, columns);
-        if sat && has_order {
+        let fit = order_match(&order, &cons, columns, Some(pk));
+        if fit.satisfied && has_order {
             consider(
                 AccessPath::IndexRange {
                     index: idx.def().name.clone(),
@@ -943,8 +972,7 @@ fn plan_access_impl(
                 },
                 n,
                 1.0,
-                true,
-                rev,
+                fit,
                 1.0,
             );
         }
@@ -956,12 +984,12 @@ fn plan_access_impl(
     // probes the benchmark cost model prices must stay index probes).
     // Only constraint-free trivial orders are satisfied — heap order is
     // insertion order, not pk order, so ORDER BY pk still sorts.
-    let (sat, _) = if cons.has_any() {
-        order_match(&order, &cons, &[])
+    let fit = if cons.has_any() {
+        order_match(&order, &cons, &[], None)
     } else {
-        (false, false)
+        OrderFit::default()
     };
-    consider(AccessPath::TableScan, n, 1.0, sat, false, 0.0);
+    consider(AccessPath::TableScan, n, 1.0, fit, 0.0);
 
     Ok(best
         .map(|(plan, _)| plan)
@@ -974,15 +1002,22 @@ fn plan_access_impl(
 /// ranges run by [`Table::scan_key_ranges`], one index probe charged to
 /// `cost` per range. Every id returned resolves to a version visible at
 /// the snapshot that actually carries the probed key.
-pub(crate) fn execute_path(
-    table: &Table,
+pub(crate) fn execute_path<'t>(
+    table: &'t Table,
     plan: &Plan,
     cost: &mut CostReport,
-    snap: &crate::table::Snapshot,
-) -> Option<Vec<crate::row::RowId>> {
+    snap: &'t crate::table::Snapshot,
+) -> Option<impl Iterator<Item = crate::row::RowId> + 't> {
     let (index, ranges) = lower_path(table, &plan.path)?;
     cost.index_probes += ranges.len() as u64;
-    Some(table.scan_key_ranges(index, &ranges, plan.reverse, snap))
+    // Ties only matter when the executor keeps the path order; any other
+    // consumer sorts or counts, so it takes the cheaper pk order.
+    let ties = if plan.order_satisfied && !plan.pk_order {
+        Ties::Rid
+    } else {
+        Ties::Pk
+    };
+    Some(table.scan_key_ranges(index, ranges, plan.reverse, ties, snap))
 }
 
 /// Lowers an access path to the key ranges it reads and the index they
@@ -1184,8 +1219,8 @@ impl QueryPlan {
         if self.order_satisfied {
             s.push_str(" ordered");
         }
-        if self.fetch_limit.is_some() {
-            s.push_str(" limited");
+        if let Some(k) = self.fetch_limit {
+            s.push_str(&format!(" fetch_limit={k}"));
         }
         if self.count_only {
             s.push_str(" count-only");

@@ -20,6 +20,25 @@ fn counters(n: i64) -> Database {
     db
 }
 
+/// One thread's place at a [`Barrier`]. It arrives on [`Rendezvous::arrive`]
+/// or, failing that, when dropped, so a thread that panics before the
+/// rendezvous still releases the others instead of hanging them.
+struct Rendezvous(Option<Arc<Barrier>>);
+
+impl Rendezvous {
+    fn arrive(&mut self) {
+        if let Some(b) = self.0.take() {
+            b.wait();
+        }
+    }
+}
+
+impl Drop for Rendezvous {
+    fn drop(&mut self) {
+        self.arrive();
+    }
+}
+
 fn read_n(db: &Database, id: i64) -> i64 {
     db.execute_sql("SELECT n FROM c WHERE id = $1", &[Value::Int(id)])
         .unwrap()
@@ -340,10 +359,16 @@ proptest! {
         db.execute_sql("CREATE TABLE log (seq INT PRIMARY KEY)", &[]).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
         let barrier = Arc::new(Barrier::new(writers + readers));
+        // Every writer holds after its first commit until every reader
+        // has finished one transaction, so each reader overlaps the
+        // writes however the threads are scheduled; `stop` cannot be set
+        // before that. A thread that panics first still arrives.
+        let progress = Arc::new(Barrier::new(writers + readers));
 
         let writer_handles: Vec<_> = (0..writers).map(|w| {
             let db = db.clone();
             let barrier = Arc::clone(&barrier);
+            let mut progress = Rendezvous(Some(Arc::clone(&progress)));
             std::thread::spawn(move || {
                 barrier.wait();
                 for i in 1..=per_writer as i64 {
@@ -352,6 +377,9 @@ proptest! {
                         t.execute_sql("INSERT INTO log VALUES ($1)", &[Value::Int(seq)])?;
                         Ok(())
                     }).unwrap();
+                    if i == 1 {
+                        progress.arrive();
+                    }
                 }
             })
         }).collect();
@@ -360,6 +388,7 @@ proptest! {
             let db = db.clone();
             let stop = Arc::clone(&stop);
             let barrier = Arc::clone(&barrier);
+            let mut progress = Rendezvous(Some(Arc::clone(&progress)));
             std::thread::spawn(move || {
                 barrier.wait();
                 let mut last_total = 0i64;
@@ -378,12 +407,13 @@ proptest! {
                         (c, m - lo)
                     }).collect()
                 };
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     db.execute_sql("BEGIN", &[]).unwrap();
                     let first = observe(&db);
                     std::thread::yield_now();
                     let second = observe(&db);
                     db.execute_sql("COMMIT", &[]).unwrap();
+                    progress.arrive();
                     // (b) repeatable within the transaction.
                     assert_eq!(first, second, "snapshot changed mid-transaction");
                     // (a) a contiguous prefix per writer: max == count.
@@ -395,15 +425,21 @@ proptest! {
                     assert!(total >= last_total, "snapshot went backwards");
                     last_total = total;
                     checks += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 checks
             })
         }).collect();
 
-        for h in writer_handles { h.join().unwrap(); }
+        // Stop the readers before a failed writer's panic is re-raised,
+        // so they do not spin on after the test case ends.
+        let written: Vec<_> = writer_handles.into_iter().map(|h| h.join()).collect();
         stop.store(true, Ordering::Relaxed);
         let mut total_checks = 0;
         for h in reader_handles { total_checks += h.join().unwrap(); }
+        for w in written { w.unwrap(); }
         prop_assert!(total_checks > 0, "readers made progress");
         // Final state: the full serial history.
         let total = (writers * per_writer) as i64;

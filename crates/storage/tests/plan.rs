@@ -400,6 +400,13 @@ fn every_path_matches_full_scan_semantics() {
         "SELECT * FROM wall WHERE user_id = 7 ORDER BY date_posted DESC",
         "SELECT * FROM wall WHERE user_id = 7 ORDER BY date_posted ASC LIMIT 3",
         "SELECT * FROM wall WHERE user_id = 7 AND date_posted < TS(1100) ORDER BY date_posted DESC",
+        // Equality on an index key, then its implicit pk suffix: bounded
+        // walks of one posting list, both directions, with and without a
+        // residual filter, and through a composite index.
+        "SELECT * FROM wall WHERE status = 0 ORDER BY post_id DESC LIMIT 4",
+        "SELECT * FROM wall WHERE status = 2 ORDER BY post_id ASC LIMIT 5",
+        "SELECT * FROM wall WHERE status = 1 AND date_posted > TS(1010) ORDER BY post_id ASC LIMIT 3",
+        "SELECT * FROM wall WHERE user_id = 7 ORDER BY date_posted DESC, post_id DESC LIMIT 4",
     ];
     let mut kinds = BTreeSet::new();
     let before = run_against_full_scan(&db, &queries, &mut kinds);
@@ -418,9 +425,9 @@ fn every_path_matches_full_scan_semantics() {
     assert_eq!(kinds, all_kinds);
 
     // A transaction pinned before another thread moves rows between
-    // keys, re-dates and re-statuses them, deletes some and inserts a
-    // row on probed keys: every path still reads the pinned snapshot,
-    // through stale and newer index entries alike.
+    // keys, re-dates and re-statuses them, renumbers one, deletes some
+    // and inserts a row on probed keys: every path still reads the
+    // pinned snapshot, through stale and newer index entries alike.
     db.execute_sql("BEGIN", &[]).unwrap();
     assert_eq!(run_against_full_scan(&db, &queries, &mut kinds), before);
     let db2 = db.clone();
@@ -432,6 +439,8 @@ fn every_path_matches_full_scan_semantics() {
             "UPDATE wall SET date_posted = TS(1500) WHERE post_id = 57",
             "UPDATE wall SET status = 2 WHERE status = 1 AND post_id < 60",
             "DELETE FROM wall WHERE post_id IN (14, 15, 20, 147)",
+            // A new pk under unchanged index keys: one row, two postings.
+            "UPDATE wall SET post_id = 300 WHERE post_id = 77",
             "INSERT INTO wall VALUES (200, 7, TS(1017), 0)",
         ] {
             db2.execute_sql(sql, &[]).unwrap();
@@ -445,6 +454,50 @@ fn every_path_matches_full_scan_semantics() {
     let after = run_against_full_scan(&db, &queries, &mut kinds);
     for (i, sql) in queries.iter().enumerate() {
         assert_ne!(after[i], before[i], "{sql} must see the later commits");
+    }
+}
+
+/// A secondary index is ordered by `(key, pk)`: equality on the key and
+/// ORDER BY the pk plans as an ordered walk that stops after LIMIT rows.
+#[test]
+fn pk_suffix_orders_index_equality() {
+    let db = wall_db(300);
+    for (sql, reverse) in [
+        (
+            "SELECT * FROM wall WHERE status = 1 ORDER BY post_id DESC LIMIT 3",
+            true,
+        ),
+        (
+            "SELECT * FROM wall WHERE status = 1 ORDER BY post_id LIMIT 3",
+            false,
+        ),
+        (
+            "SELECT * FROM wall WHERE status = 1 ORDER BY status, post_id DESC LIMIT 3",
+            true,
+        ),
+    ] {
+        let plan = explain(&db, sql, &[]);
+        assert_eq!(plan.base.path.kind(), "IndexEq", "{sql}");
+        assert!(plan.order_satisfied && plan.base.pk_order, "{sql}: {plan}");
+        assert_eq!(plan.base.reverse, reverse, "{sql}");
+        assert_eq!(plan.fetch_limit, Some(3), "{sql}");
+        let out = db.execute_sql(sql, &[]).unwrap();
+        assert_eq!(out.cost.rows_scanned, 3, "{sql}");
+        assert_eq!(out.cost.sort_rows, 0, "{sql}");
+    }
+    // Without the pk the walk keeps rid ties; a pk that is not the last
+    // ORDER BY key, or runs the other way, still sorts.
+    let plan = explain(
+        &db,
+        "SELECT * FROM wall WHERE status = 1 ORDER BY status LIMIT 3",
+        &[],
+    );
+    assert!(plan.order_satisfied && !plan.base.pk_order, "{plan}");
+    for sql in [
+        "SELECT * FROM wall WHERE status = 1 ORDER BY post_id, date_posted LIMIT 3",
+        "SELECT * FROM wall WHERE user_id = 3 ORDER BY date_posted DESC, post_id ASC LIMIT 3",
+    ] {
+        assert!(!explain(&db, sql, &[]).order_satisfied, "{sql}");
     }
 }
 
@@ -468,7 +521,8 @@ fn order_by_ties_with_limit_match_full_scan() {
             db.execute_sql("CREATE INDEX t_u ON t (u)", &[]).unwrap();
         }
         // Several rows share u = 2, one with d NULL (sorts first in the
-        // index); heap order is id order.
+        // index). The last two arrive with smaller ids, so heap (rid)
+        // order differs from pk order — the order index postings use.
         for (id, u, d) in [
             (14i64, 2i64, Value::Null),
             (15, 0, Value::Int(50)),
@@ -476,6 +530,8 @@ fn order_by_ties_with_limit_match_full_scan() {
             (17, 2, Value::Int(83)),
             (18, 0, Value::Int(1)),
             (19, 2, Value::Int(9)),
+            (3, 2, Value::Int(9)),
+            (5, 0, Value::Int(50)),
         ] {
             db.execute_sql(
                 "INSERT INTO t VALUES ($1, $2, $3)",
@@ -494,6 +550,9 @@ fn order_by_ties_with_limit_match_full_scan() {
         "SELECT * FROM t WHERE u = 2 ORDER BY d DESC LIMIT 2",
         "SELECT * FROM t WHERE u >= 0 ORDER BY u LIMIT 4",
         "SELECT * FROM t WHERE u IN (0, 2)",
+        "SELECT * FROM t WHERE u = 2 ORDER BY id DESC LIMIT 2",
+        "SELECT * FROM t WHERE u = 2 AND d = 9 ORDER BY id LIMIT 1",
+        "SELECT * FROM t WHERE u IN (0, 2) ORDER BY u DESC, id DESC LIMIT 4",
     ] {
         let a = with_idx.execute_sql(sql, &[]).unwrap().result.rows;
         let b = without_idx.execute_sql(sql, &[]).unwrap().result.rows;

@@ -58,4 +58,8 @@ for workload in social_mix read_spread; do
         --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
 done
 
+echo "==> wirebench social_mix traced run (per-layer sums reconcile with end-to-end time, workload-separation checks, 7-object cache coherence)"
+cargo run --release --offline -q --manifest-path wirebench/Cargo.toml -- \
+    --workload social_mix --seed 1 --seconds 1 --trace 1 > /dev/null
+
 echo "ci.sh: all green"
