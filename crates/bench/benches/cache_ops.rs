@@ -1,9 +1,15 @@
 //! Criterion micro-bench: cache-layer primitives (get / set / gets+cas /
-//! codec round-trip) across cluster sizes.
+//! codec round-trip) across cluster sizes, and trigger-style list edits
+//! (append a row, remove a row by pk) made in place on the encoded list
+//! versus decode → edit → encode.
+//!
+//! ```text
+//! cargo bench -p genie-bench --bench cache_ops
+//! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, Payload};
-use genie_storage::row;
+use genie_cache::{CacheCluster, CacheOrigin, ClusterConfig, EncodedList, Payload};
+use genie_storage::{row, Row, Value};
 use std::hint::black_box;
 
 fn bench_cache(c: &mut Criterion) {
@@ -55,5 +61,66 @@ fn bench_cache(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache);
+/// A joined bookmark row (instance ++ bookmark), shaped like the social
+/// app's `user_bookmarks` entries.
+fn bookmark_row(id: i64) -> Row {
+    row![
+        id,
+        id % 97,
+        1i64,
+        "saved",
+        Value::Timestamp(1_700_000_000 + id),
+        id % 97,
+        format!("http://bookmark.example/{}", id % 97),
+        format!("about http://bookmark.example/{}", id % 97),
+        Value::Timestamp(1_600_000_000 + id)
+    ]
+}
+
+fn bench_codec_edit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("codec_edit");
+    let new = bookmark_row(1_000_000);
+    for n in [10i64, 329, 2_000] {
+        let rows: Vec<Row> = (1..=n).map(bookmark_row).collect();
+        let data = Payload::Rows(rows).encode();
+        let pk = Value::Int(n / 2);
+        group.bench_with_input(BenchmarkId::new("append/editor", n), &n, |b, _| {
+            b.iter(|| {
+                let list = EncodedList::parse(data.clone()).unwrap().unwrap();
+                black_box(list.append(std::slice::from_ref(&new)).data)
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("append/decode_encode", n), &n, |b, _| {
+            b.iter(|| {
+                let Payload::Rows(mut rows) = Payload::decode(&data).unwrap() else {
+                    unreachable!()
+                };
+                rows.push(new.clone());
+                black_box(Payload::Rows(rows).encode())
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("remove_pk/editor", n), &n, |b, _| {
+            b.iter(|| {
+                let list = EncodedList::parse(data.clone()).unwrap().unwrap();
+                black_box(list.remove_pk(&pk).unwrap().unwrap().data)
+            })
+        });
+        group.bench_with_input(
+            BenchmarkId::new("remove_pk/decode_encode", n),
+            &n,
+            |b, _| {
+                b.iter(|| {
+                    let Payload::Rows(mut rows) = Payload::decode(&data).unwrap() else {
+                        unreachable!()
+                    };
+                    rows.retain(|r| *r.get(0) != pk);
+                    black_box(Payload::Rows(rows).encode())
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_cache, bench_codec_edit);
 criterion_main!(benches);

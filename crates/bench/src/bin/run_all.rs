@@ -1,4 +1,6 @@
-//! Runs every experiment in sequence (the data behind EXPERIMENTS.md).
+//! Runs the paper experiments in sequence: the micro-benchmarks, the
+//! programmer-effort table, exp1–5, Table 2 and the ablations. Each
+//! writes its CSV into `results/`.
 //!
 //! `cargo run --release -p genie-bench --bin run_all [-- --quick]`
 //!

@@ -5,7 +5,9 @@
 //! Runs a small deterministic workload per cache mode (including a
 //! transactional batch-post share with aborts) and records the counters
 //! that define the commit pipeline's efficiency: triggers fired, physical
-//! commit cache ops vs the per-statement naive baseline, rollbacks.
+//! commit cache ops vs the per-statement naive baseline, rollbacks. It
+//! also records what the trigger bodies did to each cached object
+//! (in-place updates, invalidations, key drops, no-ops).
 //!
 //! ```text
 //! cargo run --release -p genie-bench --bin trigger_audit                    # report
@@ -15,8 +17,10 @@
 //!
 //! `--check` fails when triggers fired or cache ops *increase* against the
 //! baseline (a coalescing regression), when the deterministic
-//! commit/rollback counts drift (the workload changed — regenerate), or
-//! when coalesced ops exceed the naive baseline (coalescing is broken).
+//! commit/rollback counts drift (the workload changed — regenerate), when
+//! coalesced ops exceed the naive baseline (coalescing is broken), or when
+//! any edit-outcome count differs from the baseline: a change to how
+//! triggers apply their edits must leave the edits themselves unchanged.
 
 use genie_social::SeedConfig;
 use genie_workload::{run, CacheMode, WorkloadConfig};
@@ -30,7 +34,8 @@ struct Audit {
     triggers_fired: u64,
     commit_cache_ops: u64,
     commit_cache_ops_naive: u64,
-    trigger_cache_ops: u64,
+    /// Edit outcomes: in-place updates, invalidations, key drops, no-ops.
+    outcomes: [u64; 4],
 }
 
 fn config(mode: CacheMode) -> WorkloadConfig {
@@ -60,9 +65,12 @@ fn audit(name: &str, cfg: &WorkloadConfig) -> Audit {
         triggers_fired: r.db_stats.triggers_fired,
         commit_cache_ops: r.genie_stats.commit_cache_ops,
         commit_cache_ops_naive: r.genie_stats.commit_cache_ops_naive,
-        trigger_cache_ops: r.genie_stats.inplace_updates
-            + r.genie_stats.invalidations
-            + r.genie_stats.key_drops,
+        outcomes: [
+            r.genie_stats.inplace_updates,
+            r.genie_stats.invalidations,
+            r.genie_stats.key_drops,
+            r.genie_stats.trigger_noops,
+        ],
     }
 }
 
@@ -83,19 +91,32 @@ fn main() {
     }
 
     println!(
-        "{:<20} {:>8} {:>9} {:>9} {:>11} {:>11} {:>11}",
-        "mix", "commits", "rollbacks", "triggers", "commit_ops", "naive_ops", "applied_fx"
+        "{:<20} {:>8} {:>9} {:>9} {:>11} {:>11} {:>8} {:>8} {:>6} {:>6}",
+        "mix",
+        "commits",
+        "rollbacks",
+        "triggers",
+        "commit_ops",
+        "naive_ops",
+        "inplace",
+        "invalid",
+        "drops",
+        "noops"
     );
     for a in &audits {
+        let [inplace, invalid, drops, noops] = a.outcomes;
         println!(
-            "{:<20} {:>8} {:>9} {:>9} {:>11} {:>11} {:>11}",
+            "{:<20} {:>8} {:>9} {:>9} {:>11} {:>11} {:>8} {:>8} {:>6} {:>6}",
             a.name,
             a.commits,
             a.rollbacks,
             a.triggers_fired,
             a.commit_cache_ops,
             a.commit_cache_ops_naive,
-            a.trigger_cache_ops,
+            inplace,
+            invalid,
+            drops,
+            noops,
         );
     }
 
@@ -126,21 +147,29 @@ fn main() {
     }
 }
 
+const OUTCOMES: [&str; 4] = [
+    "inplace_updates",
+    "invalidations",
+    "key_drops",
+    "trigger_noops",
+];
+
 fn render_baseline(audits: &[Audit]) -> String {
-    let mut out = String::from(
-        "# trigger_audit baseline: mix|commits|rollbacks|triggers_fired|commit_cache_ops|commit_cache_ops_naive|trigger_cache_ops\n\
+    let mut out = format!(
+        "# trigger_audit baseline: mix|commits|rollbacks|triggers_fired|commit_cache_ops|commit_cache_ops_naive|{}\n\
          # Regenerate with: cargo run --release -p genie-bench --bin trigger_audit -- --write-baseline\n",
+        OUTCOMES.join("|")
     );
     for a in audits {
+        let [inplace, invalid, drops, noops] = a.outcomes;
         out.push_str(&format!(
-            "{}|{}|{}|{}|{}|{}|{}\n",
+            "{}|{}|{}|{}|{}|{}|{inplace}|{invalid}|{drops}|{noops}\n",
             a.name,
             a.commits,
             a.rollbacks,
             a.triggers_fired,
             a.commit_cache_ops,
             a.commit_cache_ops_naive,
-            a.trigger_cache_ops,
         ));
     }
     out
@@ -154,7 +183,7 @@ fn check_against(audits: &[Audit], baseline: &str) -> Vec<String> {
             continue;
         }
         let parts: Vec<&str> = line.split('|').collect();
-        if parts.len() != 7 {
+        if parts.len() != 10 {
             failures.push(format!("malformed baseline line: {line}"));
             continue;
         }
@@ -162,15 +191,14 @@ fn check_against(audits: &[Audit], baseline: &str) -> Vec<String> {
             .iter()
             .filter_map(|p| p.parse::<u64>().ok())
             .collect();
-        if nums.len() != 6 {
+        if nums.len() != 9 {
             failures.push(format!(
                 "{}: non-numeric baseline counters: {line}",
                 parts[0]
             ));
             continue;
         }
-        let (commits, rollbacks, triggers, ops, naive, _applied) =
-            (nums[0], nums[1], nums[2], nums[3], nums[4], nums[5]);
+        let (commits, rollbacks, triggers, ops) = (nums[0], nums[1], nums[2], nums[3]);
         let Some(a) = audits.iter().find(|a| a.name == parts[0]) else {
             failures.push(format!("{}: mix disappeared from the audit", parts[0]));
             continue;
@@ -202,7 +230,11 @@ fn check_against(audits: &[Audit], baseline: &str) -> Vec<String> {
                 a.name, a.commit_cache_ops, a.commit_cache_ops_naive
             ));
         }
-        let _ = naive;
+        for ((name, &want), &got) in OUTCOMES.iter().zip(&nums[5..]).zip(&a.outcomes) {
+            if got != want {
+                failures.push(format!("{}: {name} drifted ({want} -> {got})", a.name));
+            }
+        }
     }
     if seen < audits.len() {
         failures.push(format!(

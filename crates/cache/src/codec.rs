@@ -4,7 +4,12 @@
 //! lists into it and its triggers unpickle → modify → re-pickle. This
 //! module is our equivalent: a small length-prefixed little-endian format
 //! with a checksum, over [`Payload`] values (row sets, counts, raw bytes).
-//! Trigger bodies pay the same decode-modify-encode cost the paper's do.
+//! Trigger bodies do not decode the lists they maintain: [`EncodedList`]
+//! edits a cached list in its encoded form, copying the rows it keeps and
+//! encoding only the rows it adds. The paper's decode-modify-encode cost
+//! is modelled by the cost-model counters (cache operations and
+//! connection opens charged per firing), which do not depend on how the
+//! bytes are edited.
 //!
 //! Every payload ends in a 4-byte checksum of everything before it. It
 //! is computed a word at a time, and any change confined to one 4-byte
@@ -14,11 +19,16 @@
 use crate::error::{CacheError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use genie_storage::{Row, Value};
+use std::cell::Cell;
+use std::ops::Range;
 
 const MAGIC: u16 = 0xCA6E;
 /// Bumped whenever the byte layout or the checksum changes, so entries
 /// written in an older format fail decoding and are refilled.
 const VERSION: u8 = 2;
+/// Payload tags of the two list shapes.
+const TAG_ROWS: u8 = 0;
+const TAG_TOP_K: u8 = 3;
 
 /// A typed cache payload.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,13 +55,10 @@ impl Payload {
     /// Encodes the payload with header and trailing checksum.
     pub fn encode(&self) -> Bytes {
         let len = self.encoded_len();
-        let mut buf = BytesMut::with_capacity(len);
-        buf.put_u16_le(MAGIC);
-        buf.put_u8(VERSION);
+        let mut buf = start(len);
         match self {
             Payload::Rows(rows) => {
-                buf.put_u8(0);
-                buf.put_u32_le(rows.len() as u32);
+                put_list_header(&mut buf, None, rows.len());
                 for row in rows {
                     encode_row(&mut buf, row);
                 }
@@ -66,81 +73,61 @@ impl Payload {
                 buf.put_slice(bytes);
             }
             Payload::TopK { rows, complete } => {
-                buf.put_u8(3);
-                buf.put_u8(u8::from(*complete));
-                buf.put_u32_le(rows.len() as u32);
+                put_list_header(&mut buf, Some(*complete), rows.len());
                 for row in rows {
                     encode_row(&mut buf, row);
                 }
             }
         }
-        let sum = checksum(&buf);
-        buf.put_u32_le(sum);
-        debug_assert_eq!(buf.len(), len);
-        buf.freeze()
+        seal(buf, len)
     }
 
     /// Exact length of [`Payload::encode`]'s output.
     fn encoded_len(&self) -> usize {
-        const HEADER: usize = 4;
-        const TRAILER: usize = 4;
-        let body = match self {
-            Payload::Rows(rows) => 4 + rows.iter().map(encoded_row_len).sum::<usize>(),
-            Payload::Count(_) => 8,
-            Payload::Raw(bytes) => 4 + bytes.len(),
-            Payload::TopK { rows, .. } => 5 + rows.iter().map(encoded_row_len).sum::<usize>(),
-        };
-        HEADER + body + TRAILER
+        let rows_len = |rows: &[Row]| rows.iter().map(encoded_row_len).sum::<usize>();
+        match self {
+            Payload::Rows(rows) => list_header_len(None) + rows_len(rows) + TRAILER,
+            Payload::Count(_) => 4 + 8 + TRAILER,
+            Payload::Raw(bytes) => 4 + 4 + bytes.len() + TRAILER,
+            Payload::TopK { rows, .. } => list_header_len(Some(true)) + rows_len(rows) + TRAILER,
+        }
     }
 
     /// Decodes a payload previously produced by [`Payload::encode`].
     ///
     /// # Errors
     ///
-    /// [`CacheError::Codec`] on truncation, bad magic/version, an unknown
-    /// tag, or a checksum mismatch.
+    /// [`CacheError::Codec`] on truncation, trailing bytes, bad
+    /// magic/version, an unknown tag, or a checksum mismatch.
     pub fn decode(data: &[u8]) -> Result<Payload> {
-        if data.len() < 8 {
-            return Err(CacheError::Codec("payload too short".into()));
-        }
-        let (body, sum_bytes) = data.split_at(data.len() - 4);
-        let stored = u32::from_le_bytes(sum_bytes.try_into().expect("4 bytes"));
-        if checksum(body) != stored {
-            return Err(CacheError::Codec("checksum mismatch".into()));
-        }
-        let mut buf = body;
-        let magic = buf.get_u16_le();
-        if magic != MAGIC {
-            return Err(CacheError::Codec(format!("bad magic {magic:#x}")));
-        }
-        let version = buf.get_u8();
-        if version != VERSION {
-            return Err(CacheError::Codec(format!("unsupported version {version}")));
-        }
+        let mut buf = verified_body(data)?;
+        buf.advance(3);
         let tag = buf.get_u8();
-        match tag {
-            0 => {
+        let payload = match tag {
+            TAG_ROWS => {
                 let n = checked_u32(&mut buf, "row count")? as usize;
                 let mut rows = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
                     rows.push(decode_row(&mut buf)?);
                 }
-                Ok(Payload::Rows(rows))
+                Payload::Rows(rows)
             }
             1 => {
                 if buf.remaining() < 8 {
                     return Err(CacheError::Codec("truncated count".into()));
                 }
-                Ok(Payload::Count(buf.get_i64_le()))
+                Payload::Count(buf.get_i64_le())
             }
             2 => {
                 let n = checked_u32(&mut buf, "raw length")? as usize;
                 if buf.remaining() < n {
                     return Err(CacheError::Codec("truncated raw payload".into()));
                 }
-                Ok(Payload::Raw(buf[..n].to_vec()))
+                let raw = buf[..n].to_vec();
+                buf.advance(n);
+                Payload::Raw(raw)
             }
-            3 => {
+            TAG_TOP_K => {
                 if buf.remaining() < 1 {
                     return Err(CacheError::Codec("truncated top-k flag".into()));
                 }
@@ -150,10 +137,14 @@ impl Payload {
                 for _ in 0..n {
                     rows.push(decode_row(&mut buf)?);
                 }
-                Ok(Payload::TopK { rows, complete })
+                Payload::TopK { rows, complete }
             }
-            other => Err(CacheError::Codec(format!("unknown payload tag {other}"))),
+            other => return Err(CacheError::Codec(format!("unknown payload tag {other}"))),
+        };
+        if !buf.is_empty() {
+            return Err(CacheError::Codec("trailing bytes after payload".into()));
         }
+        Ok(payload)
     }
 
     /// The rows if this is a `Rows` payload.
@@ -181,6 +172,509 @@ impl Payload {
     }
 }
 
+/// An edited list: its encoded payload and its row count.
+#[derive(Debug, Clone)]
+pub struct Edited {
+    /// The payload, in the format [`Payload::encode`] writes.
+    pub data: Bytes,
+    /// Rows in the edited list.
+    pub len: usize,
+}
+
+/// A cached `Rows` or `TopK` payload edited in its encoded form.
+///
+/// [`EncodedList::parse`] verifies the checksum, magic and version once,
+/// then walks the value tags and lengths to find where each row starts.
+/// The walk accepts exactly what [`Payload::decode`] accepts (UTF-8 text
+/// included) but builds no `Value`s. Each edit copies the bytes of the
+/// rows it keeps, encodes only the rows it adds, and seals the result
+/// with a fresh checksum: the output is byte-for-byte what `encode` gives
+/// for the decoded list with the same edit applied, so the format and
+/// its version stay as they are.
+///
+/// Edits that compare rows decode only the compared columns (the primary
+/// key, the rank column, or a link-target slice) and compare them as
+/// `Value`s, never as raw bytes: `Int(2)` equals `Float(2.0)` though
+/// their encodings differ. [`EncodedList::values_decoded`] counts them.
+/// As in [`Row::get`], a column past a row's end reads as `NULL`.
+#[derive(Debug)]
+pub struct EncodedList {
+    data: Bytes,
+    /// `Some(complete)` for a Top-K list, `None` for plain rows.
+    complete: Option<bool>,
+    /// Byte offset of each row, then the end of the last row.
+    bounds: Vec<usize>,
+    decoded: Cell<u64>,
+}
+
+/// A run of an edited list's rows.
+enum Part<'r> {
+    /// Original rows, copied verbatim.
+    Copy(Range<usize>),
+    /// A new row, encoded afresh.
+    New(&'r Row),
+    /// An original row's leading values (`keep` of them, at the byte range
+    /// `values`), followed by `tail` in place of the rest.
+    Rebase {
+        values: Range<usize>,
+        keep: usize,
+        tail: &'r [Value],
+    },
+}
+
+/// The rows of an edited list, as parts in output order.
+#[derive(Default)]
+struct Splice<'r> {
+    parts: Vec<Part<'r>>,
+    len: usize,
+}
+
+impl<'r> Splice<'r> {
+    /// Appends original rows, merging with a preceding adjacent run.
+    fn copy(&mut self, rows: Range<usize>) {
+        if rows.is_empty() {
+            return;
+        }
+        self.len += rows.len();
+        if let Some(Part::Copy(last)) = self.parts.last_mut() {
+            if last.end == rows.start {
+                last.end = rows.end;
+                return;
+            }
+        }
+        self.parts.push(Part::Copy(rows));
+    }
+
+    /// Appends one new or rebased row.
+    fn push(&mut self, part: Part<'r>) {
+        self.len += 1;
+        self.parts.push(part);
+    }
+}
+
+impl EncodedList {
+    /// Verifies an encoded payload and locates its rows. `Ok(None)` means
+    /// the payload is valid but not a list (a count or raw bytes).
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Codec`] wherever [`Payload::decode`] would fail.
+    pub fn parse(data: Bytes) -> Result<Option<EncodedList>> {
+        let body = verified_body(&data)?;
+        let complete = match body[3] {
+            TAG_ROWS => None,
+            TAG_TOP_K => Some(*body.get(4).ok_or_else(|| truncated("top-k flag"))? != 0),
+            _ => return Payload::decode(&data).map(|_| None),
+        };
+        let mut at = list_header_len(complete);
+        let n = read_u32(body, at - 4, "row count")? as usize;
+        // Every row takes at least its 4-byte arity.
+        if n > (body.len() - at) / 4 {
+            return Err(truncated("rows"));
+        }
+        let mut bounds = Vec::with_capacity(n + 1);
+        for _ in 0..n {
+            bounds.push(at);
+            let arity = read_u32(body, at, "row arity")?;
+            at += 4;
+            for _ in 0..arity {
+                let end = value_end(body, at).ok_or_else(malformed)?;
+                if body[at] == 3 {
+                    let text = &body[at + 5..end];
+                    if !text.is_ascii() && std::str::from_utf8(text).is_err() {
+                        return Err(CacheError::Codec("invalid utf-8 in text".into()));
+                    }
+                }
+                at = end;
+            }
+        }
+        if at != body.len() {
+            return Err(CacheError::Codec("trailing bytes after payload".into()));
+        }
+        bounds.push(at);
+        Ok(Some(EncodedList {
+            data,
+            complete,
+            bounds,
+            decoded: Cell::new(0),
+        }))
+    }
+
+    /// The list as parsed, as an edit that changes nothing.
+    pub fn unchanged(&self) -> Edited {
+        Edited {
+            data: self.data.clone(),
+            len: self.len(),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// True if the list has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `Some(complete)` for a Top-K list, `None` for a plain row list.
+    pub fn top_k_complete(&self) -> Option<bool> {
+        self.complete
+    }
+
+    /// Values decoded so far to compare rows.
+    pub fn values_decoded(&self) -> u64 {
+        self.decoded.get()
+    }
+
+    /// Appends `rows` at the end.
+    pub fn append(&self, rows: &[Row]) -> Edited {
+        let mut splice = Splice::default();
+        splice.copy(0..self.len());
+        for row in rows {
+            splice.push(Part::New(row));
+        }
+        self.emit(self.complete, &splice)
+    }
+
+    /// Removes every row whose first column (the primary key) equals
+    /// `pk`. `None` when no row does.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Codec`] if a compared value fails to decode.
+    pub fn remove_pk(&self, pk: &Value) -> Result<Option<Edited>> {
+        let hits = self.rows_with_pk(pk)?;
+        Ok((!hits.is_empty()).then(|| self.remove(&hits)))
+    }
+
+    /// Replaces the first row whose primary key equals `row`'s with `row`,
+    /// or appends `row` when no row has that key.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Codec`] if a compared value fails to decode.
+    pub fn upsert_pk(&self, row: &Row) -> Result<Edited> {
+        let pk = row.get(0);
+        for i in 0..self.len() {
+            if self.value_at(i, 0)? == *pk {
+                let splice = self.rewrite([(i, Some(Part::New(row)))]);
+                return Ok(self.emit(self.complete, &splice));
+            }
+        }
+        Ok(self.append(std::slice::from_ref(row)))
+    }
+
+    /// Removes every row whose values from column `from` on equal
+    /// `target` (a link object's joined target row). `None` when no row
+    /// matches.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Codec`] if a compared value fails to decode.
+    pub fn remove_slice(&self, from: usize, target: &[Value]) -> Result<Option<Edited>> {
+        let hits: Vec<usize> = self
+            .slice_matches(from, target)?
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
+        Ok((!hits.is_empty()).then(|| self.remove(&hits)))
+    }
+
+    /// In every row whose values from column `from` on equal `old`,
+    /// replaces those values with `new`, keeping the leading ones. `None`
+    /// when no row matches.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Codec`] if a compared value fails to decode.
+    pub fn replace_slice(
+        &self,
+        from: usize,
+        old: &[Value],
+        new: &[Value],
+    ) -> Result<Option<Edited>> {
+        let hits = self.slice_matches(from, old)?;
+        if hits.is_empty() {
+            return Ok(None);
+        }
+        let splice = self.rewrite(hits.into_iter().map(|(i, split)| {
+            let values = self.bounds[i] + 4..split;
+            let part = Part::Rebase {
+                values,
+                keep: from,
+                tail: new,
+            };
+            (i, Some(part))
+        }));
+        Ok(Some(self.emit(self.complete, &splice)))
+    }
+
+    /// Top-K ordered insert: places `row` before the first cached row it
+    /// ranks ahead of (`ranks_ahead` is given that row's column
+    /// `rank_col`), after first dropping the rows whose primary key equals
+    /// `replacing` (the row's old image, on an update).
+    ///
+    /// Returns `None` when `row` ranks behind every remaining row and the
+    /// list is incomplete: it may or may not belong at the tail, so the
+    /// list is left alone. Otherwise the list is cut to `capacity` rows,
+    /// and a cut clears the completeness flag.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Codec`] if a compared value fails to decode.
+    pub fn top_k_insert(
+        &self,
+        row: &Row,
+        rank_col: usize,
+        ranks_ahead: impl Fn(&Value) -> bool,
+        capacity: usize,
+        replacing: Option<&Value>,
+    ) -> Result<Option<Edited>> {
+        let skipped = match replacing {
+            Some(pk) => self.rows_with_pk(pk)?,
+            None => Vec::new(),
+        };
+        let kept: Vec<usize> = (0..self.len()).filter(|i| !skipped.contains(i)).collect();
+        let mut pos = kept.len();
+        for (p, &i) in kept.iter().enumerate() {
+            if ranks_ahead(&self.value_at(i, rank_col)?) {
+                pos = p;
+                break;
+            }
+        }
+        let complete = self.complete.unwrap_or(false);
+        if pos == kept.len() && !complete {
+            return Ok(None);
+        }
+        // The kept rows with the new one (`None`) at `pos`, cut to capacity.
+        let (before, after) = kept.split_at(pos);
+        let order = before
+            .iter()
+            .map(Some)
+            .chain([None])
+            .chain(after.iter().map(Some));
+        let complete = complete && kept.len() < capacity;
+        let mut splice = Splice::default();
+        for i in order.take(capacity) {
+            match i {
+                Some(&i) => splice.copy(i..i + 1),
+                None => splice.push(Part::New(row)),
+            }
+        }
+        Ok(Some(self.emit(self.complete.map(|_| complete), &splice)))
+    }
+
+    /// The payload without its checksum.
+    fn body(&self) -> &[u8] {
+        &self.data[..self.data.len() - TRAILER]
+    }
+
+    /// Decodes column `col` of row `row` (`NULL` past the row's end).
+    fn value_at(&self, row: usize, col: usize) -> Result<Value> {
+        let body = self.body();
+        let start = self.bounds[row];
+        if col >= read_u32(body, start, "row arity")? as usize {
+            return Ok(Value::Null);
+        }
+        let mut at = start + 4;
+        for _ in 0..col {
+            at = value_end(body, at).ok_or_else(malformed)?;
+        }
+        self.decoded.set(self.decoded.get() + 1);
+        decode_value(&mut &body[at..])
+    }
+
+    /// Rows whose primary key equals `pk`, in order.
+    fn rows_with_pk(&self, pk: &Value) -> Result<Vec<usize>> {
+        let mut hits = Vec::new();
+        for i in 0..self.len() {
+            if self.value_at(i, 0)? == *pk {
+                hits.push(i);
+            }
+        }
+        Ok(hits)
+    }
+
+    /// Rows whose values from column `from` on equal `target`, with the
+    /// byte offset where that slice starts.
+    fn slice_matches(&self, from: usize, target: &[Value]) -> Result<Vec<(usize, usize)>> {
+        let body = self.body();
+        let mut hits = Vec::new();
+        'rows: for i in 0..self.len() {
+            let start = self.bounds[i];
+            let arity = read_u32(body, start, "row arity")? as usize;
+            if arity.checked_sub(from) != Some(target.len()) {
+                continue;
+            }
+            let mut at = start + 4;
+            for _ in 0..from {
+                at = value_end(body, at).ok_or_else(malformed)?;
+            }
+            let split = at;
+            for want in target {
+                let mut buf = &body[at..];
+                self.decoded.set(self.decoded.get() + 1);
+                if decode_value(&mut buf)? != *want {
+                    continue 'rows;
+                }
+                at = body.len() - buf.len();
+            }
+            hits.push((i, split));
+        }
+        Ok(hits)
+    }
+
+    /// The original rows in order, with each row of `edits` (ascending)
+    /// replaced by its part, or dropped when that is `None`.
+    fn rewrite<'r>(
+        &self,
+        edits: impl IntoIterator<Item = (usize, Option<Part<'r>>)>,
+    ) -> Splice<'r> {
+        let mut splice = Splice::default();
+        let mut next = 0;
+        for (i, part) in edits {
+            splice.copy(next..i);
+            if let Some(part) = part {
+                splice.push(part);
+            }
+            next = i + 1;
+        }
+        splice.copy(next..self.len());
+        splice
+    }
+
+    /// The list without the rows `hits` (ascending).
+    fn remove(&self, hits: &[usize]) -> Edited {
+        let splice = self.rewrite(hits.iter().map(|&i| (i, None)));
+        self.emit(self.complete, &splice)
+    }
+
+    /// Writes the edited list: header, parts, checksum.
+    fn emit(&self, complete: Option<bool>, splice: &Splice<'_>) -> Edited {
+        let run = |rows: &Range<usize>| self.bounds[rows.start]..self.bounds[rows.end];
+        let rows_len: usize = splice
+            .parts
+            .iter()
+            .map(|part| match part {
+                Part::Copy(rows) => run(rows).len(),
+                Part::New(row) => encoded_row_len(row),
+                Part::Rebase { values, tail, .. } => {
+                    4 + values.len() + tail.iter().map(encoded_value_len).sum::<usize>()
+                }
+            })
+            .sum();
+        let len = list_header_len(complete) + rows_len + TRAILER;
+        let mut buf = start(len);
+        put_list_header(&mut buf, complete, splice.len);
+        for part in &splice.parts {
+            match part {
+                Part::Copy(rows) => buf.put_slice(&self.data[run(rows)]),
+                Part::New(row) => encode_row(&mut buf, row),
+                Part::Rebase { values, keep, tail } => {
+                    buf.put_u32_le((keep + tail.len()) as u32);
+                    buf.put_slice(&self.data[values.clone()]);
+                    for v in *tail {
+                        encode_value(&mut buf, v);
+                    }
+                }
+            }
+        }
+        Edited {
+            data: seal(buf, len),
+            len: splice.len,
+        }
+    }
+}
+
+/// Bytes after the payload body: the checksum.
+const TRAILER: usize = 4;
+
+/// Magic, version and tag; then for a list the Top-K completeness flag
+/// and the row count.
+fn list_header_len(complete: Option<bool>) -> usize {
+    4 + usize::from(complete.is_some()) + 4
+}
+
+/// A buffer for a `len`-byte payload, holding its magic and version.
+fn start(len: usize) -> BytesMut {
+    let mut buf = BytesMut::with_capacity(len);
+    buf.put_u16_le(MAGIC);
+    buf.put_u8(VERSION);
+    buf
+}
+
+fn put_list_header(buf: &mut BytesMut, complete: Option<bool>, rows: usize) {
+    match complete {
+        None => buf.put_u8(TAG_ROWS),
+        Some(complete) => {
+            buf.put_u8(TAG_TOP_K);
+            buf.put_u8(u8::from(complete));
+        }
+    }
+    buf.put_u32_le(rows as u32);
+}
+
+/// Appends the checksum to a payload body `len - TRAILER` bytes long.
+fn seal(mut buf: BytesMut, len: usize) -> Bytes {
+    let sum = checksum(&buf);
+    buf.put_u32_le(sum);
+    debug_assert_eq!(buf.len(), len);
+    buf.freeze()
+}
+
+/// Checks the checksum, magic and version; returns the payload without
+/// its checksum (from the magic on).
+fn verified_body(data: &[u8]) -> Result<&[u8]> {
+    if data.len() < 4 + TRAILER {
+        return Err(CacheError::Codec("payload too short".into()));
+    }
+    let (body, sum_bytes) = data.split_at(data.len() - TRAILER);
+    let stored = u32::from_le_bytes(sum_bytes.try_into().expect("4 bytes"));
+    if checksum(body) != stored {
+        return Err(CacheError::Codec("checksum mismatch".into()));
+    }
+    let magic = u16::from_le_bytes([body[0], body[1]]);
+    if magic != MAGIC {
+        return Err(CacheError::Codec(format!("bad magic {magic:#x}")));
+    }
+    if body[2] != VERSION {
+        return Err(CacheError::Codec(format!(
+            "unsupported version {}",
+            body[2]
+        )));
+    }
+    Ok(body)
+}
+
+fn truncated(what: &str) -> CacheError {
+    CacheError::Codec(format!("truncated {what}"))
+}
+
+fn read_u32(body: &[u8], at: usize, what: &str) -> Result<u32> {
+    let bytes = body.get(at..at + 4).ok_or_else(|| truncated(what))?;
+    Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+}
+
+/// Where the value encoded at `at` ends; `None` if its tag is unknown or
+/// it runs past `body`.
+#[inline]
+fn value_end(body: &[u8], at: usize) -> Option<usize> {
+    let end = match *body.get(at)? {
+        0 => at + 1,
+        4 => at + 2,
+        1 | 2 | 5 => at + 9,
+        3 => at + 5 + u32::from_le_bytes(body.get(at + 1..at + 5)?.try_into().ok()?) as usize,
+        _ => return None,
+    };
+    (end <= body.len()).then_some(end)
+}
+
+fn malformed() -> CacheError {
+    CacheError::Codec("malformed value".into())
+}
+
 fn checked_u32(buf: &mut &[u8], what: &str) -> Result<u32> {
     if buf.remaining() < 4 {
         return Err(CacheError::Codec(format!("truncated {what}")));
@@ -189,16 +683,16 @@ fn checked_u32(buf: &mut &[u8], what: &str) -> Result<u32> {
 }
 
 fn encoded_row_len(row: &Row) -> usize {
-    4 + row
-        .values()
-        .iter()
-        .map(|v| match v {
-            Value::Null => 1,
-            Value::Bool(_) => 2,
-            Value::Int(_) | Value::Float(_) | Value::Timestamp(_) => 9,
-            Value::Text(s) => 5 + s.len(),
-        })
-        .sum::<usize>()
+    4 + row.values().iter().map(encoded_value_len).sum::<usize>()
+}
+
+fn encoded_value_len(v: &Value) -> usize {
+    match v {
+        Value::Null => 1,
+        Value::Bool(_) => 2,
+        Value::Int(_) | Value::Float(_) | Value::Timestamp(_) => 9,
+        Value::Text(s) => 5 + s.len(),
+    }
 }
 
 fn encode_row(buf: &mut BytesMut, row: &Row) {
@@ -445,6 +939,187 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn sample_rows() -> Vec<Row> {
+        vec![
+            row![1i64, "alice", true, 2.5f64],
+            row![2i64, "日本語 €", Value::Null, -0.0f64],
+            row![3i64, "", false, Value::Timestamp(99)],
+        ]
+    }
+
+    fn list(p: &Payload) -> EncodedList {
+        EncodedList::parse(p.encode()).unwrap().unwrap()
+    }
+
+    /// Every editor operation on `data`, each from a fresh parse.
+    fn every_op(data: &Bytes) -> Vec<Result<Option<Edited>>> {
+        let new = row![9i64, "new", 1.0f64];
+        let tail = [Value::Bool(true), Value::Float(-0.0)];
+        let apply = |op: &dyn Fn(&EncodedList) -> Result<Option<Edited>>| {
+            EncodedList::parse(data.clone()).and_then(|l| op(&l.expect("a list")))
+        };
+        vec![
+            apply(&|l| Ok(Some(l.append(std::slice::from_ref(&new))))),
+            apply(&|l| l.remove_pk(&Value::Int(2))),
+            apply(&|l| l.upsert_pk(&new).map(Some)),
+            apply(&|l| l.remove_slice(2, &tail)),
+            apply(&|l| l.replace_slice(2, &tail, &[Value::Null])),
+            apply(&|l| l.top_k_insert(&new, 0, |v| Value::Int(2) < *v, 4, Some(&Value::Int(1)))),
+        ]
+    }
+
+    #[test]
+    fn edits_match_decode_edit_encode() {
+        let rows = sample_rows();
+        let l = list(&Payload::Rows(rows.clone()));
+        assert_eq!(l.len(), 3);
+        assert_eq!(l.top_k_complete(), None);
+
+        let new = row![4i64, "ü"];
+        let mut want = rows.clone();
+        want.push(new.clone());
+        let e = l.append(std::slice::from_ref(&new));
+        assert_eq!(e.data, Payload::Rows(want).encode());
+        assert_eq!(e.len, 4);
+
+        let e = l.remove_pk(&Value::Int(2)).unwrap().unwrap();
+        let want = vec![rows[0].clone(), rows[2].clone()];
+        assert_eq!(e.data, Payload::Rows(want).encode());
+        assert!(l.remove_pk(&Value::Int(7)).unwrap().is_none());
+
+        let swapped = row![3i64, "x"];
+        let e = l.upsert_pk(&swapped).unwrap();
+        let want = vec![rows[0].clone(), rows[1].clone(), swapped];
+        assert_eq!(e.data, Payload::Rows(want).encode());
+
+        let e = l.replace_slice(3, &[Value::Float(-0.0)], &[Value::Int(5), Value::Null]);
+        let mut want = rows.clone();
+        want[1] = row![2i64, "日本語 €", Value::Null, 5i64, Value::Null];
+        assert_eq!(e.unwrap().unwrap().data, Payload::Rows(want).encode());
+        let e = l.remove_slice(1, &rows[2].values()[1..]).unwrap().unwrap();
+        assert_eq!(e.data, Payload::Rows(rows[..2].to_vec()).encode());
+    }
+
+    /// Comparisons use `Value` equality: `-0.0` is not `0.0` under the
+    /// storage order, and `Int(2)` equals `Float(2.0)` though their bytes
+    /// differ.
+    #[test]
+    fn comparisons_use_value_semantics() {
+        let rows = vec![row![2i64, "a"], row![-0.0f64, "b"], row![f64::NAN, "c"]];
+        let l = list(&Payload::Rows(rows.clone()));
+        let e = l.remove_pk(&Value::Float(2.0)).unwrap().unwrap();
+        assert_eq!(e.data, Payload::Rows(rows[1..].to_vec()).encode());
+        assert!(l.remove_pk(&Value::Float(0.0)).unwrap().is_none());
+        assert_eq!(
+            l.remove_pk(&Value::Float(f64::NAN)).unwrap().unwrap().len,
+            2
+        );
+        assert!(l
+            .remove_slice(1, &[Value::Text("b".into())])
+            .unwrap()
+            .is_some());
+        // One pk per row, then the first slice value of each same-arity row.
+        assert_eq!(l.values_decoded(), 9 + 3);
+    }
+
+    #[test]
+    fn top_k_insert_orders_truncates_and_clears_complete() {
+        let rows: Vec<Row> = [50i64, 40, 30].iter().map(|&r| row![r, r]).collect();
+        let desc = |new: i64| move |v: &Value| Value::Int(new) > *v;
+        for complete in [true, false] {
+            let l = list(&Payload::TopK {
+                rows: rows.clone(),
+                complete,
+            });
+            // Middle insert into room: the flag is kept.
+            let e = l
+                .top_k_insert(&row![45i64, 45i64], 1, desc(45), 5, None)
+                .unwrap();
+            let mut want = rows.clone();
+            want.insert(1, row![45i64, 45i64]);
+            let want = Payload::TopK {
+                rows: want,
+                complete,
+            };
+            assert_eq!(e.unwrap().data, want.encode());
+            // Past the tail: only a complete list can take it.
+            let e = l
+                .top_k_insert(&row![1i64, 1i64], 1, desc(1), 5, None)
+                .unwrap();
+            assert_eq!(e.is_some(), complete);
+            // At capacity: the cut drops the tail and the flag.
+            let e = l.top_k_insert(&row![60i64, 60i64], 1, desc(60), 3, None);
+            let mut want = vec![row![60i64, 60i64]];
+            want.extend(rows[..2].iter().cloned());
+            let want = Payload::TopK {
+                rows: want,
+                complete: false,
+            };
+            assert_eq!(e.unwrap().unwrap().data, want.encode());
+            // Repositioning a cached row moves it.
+            let e = l.top_k_insert(&row![50i64, 35i64], 1, desc(35), 5, Some(&Value::Int(50)));
+            let want = Payload::TopK {
+                rows: vec![rows[1].clone(), row![50i64, 35i64], rows[2].clone()],
+                complete,
+            };
+            assert_eq!(e.unwrap().unwrap().data, want.encode());
+        }
+    }
+
+    /// A corrupted list fails every edit: none re-seals it under a fresh
+    /// checksum.
+    #[test]
+    fn every_single_byte_corruption_fails_every_edit() {
+        for p in [
+            Payload::Rows(sample_rows()),
+            Payload::TopK {
+                rows: sample_rows(),
+                complete: true,
+            },
+        ] {
+            let enc = p.encode().to_vec();
+            assert!(every_op(&p.encode()).iter().all(|r| r.is_ok()));
+            for i in 0..enc.len() {
+                for mask in [0x01u8, 0x80, 0xFF] {
+                    let mut bad = enc.clone();
+                    bad[i] ^= mask;
+                    for (op, got) in every_op(&Bytes::from(bad)).iter().enumerate() {
+                        assert!(
+                            matches!(got, Err(CacheError::Codec(_))),
+                            "op {op}: byte {i} ^ {mask:#x} went undetected"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Malformed bodies under a valid checksum fail like `decode` does.
+    #[test]
+    fn resealed_malformed_lists_are_rejected() {
+        let reseal = |mut body: Vec<u8>| {
+            let sum = checksum(&body);
+            body.extend_from_slice(&sum.to_le_bytes());
+            Bytes::from(body)
+        };
+        let enc = Payload::Rows(vec![row![1i64, "ab"]]).encode().to_vec();
+        let body = enc[..enc.len() - 4].to_vec();
+        let mut trailing = body.clone();
+        trailing.push(0);
+        let mut bad_utf8 = body.clone();
+        *bad_utf8.last_mut().unwrap() = 0xFF;
+        let mut short_count = body.clone();
+        short_count[4] = 2;
+        for bad in [trailing, bad_utf8, short_count] {
+            let bad = reseal(bad);
+            assert!(Payload::decode(&bad).is_err());
+            assert!(matches!(EncodedList::parse(bad), Err(CacheError::Codec(_))));
+        }
+        assert!(EncodedList::parse(Payload::Count(3).encode())
+            .unwrap()
+            .is_none());
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Property-based tests for the cache crate.
 
 use bytes::Bytes;
-use genie_cache::{CacheCluster, CacheOrigin, CacheStore, ClusterConfig, Payload, StoreConfig};
+use genie_cache::{
+    CacheCluster, CacheError, CacheOrigin, CacheStore, ClusterConfig, Edited, EncodedList, Payload,
+    StoreConfig,
+};
 use genie_storage::{Row, Value};
 use proptest::prelude::*;
+use std::cmp::Ordering;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -30,6 +34,246 @@ fn payload_strategy() -> impl Strategy<Value = Payload> {
     ]
 }
 
+/// Values for edited lists: few distinct ones so comparisons hit,
+/// multi-byte UTF-8 text, and the floats whose bytes and `Value`
+/// equality disagree or stand out (`-0.0`, NaN, `2.0` equal to `Int(2)`).
+fn list_value_strategy() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (-2i64..4).prop_map(Value::Int),
+        prop::sample::select(vec![0.0, -0.0, 2.0, -1.5, f64::NAN]).prop_map(Value::Float),
+        "[aé日€ ]{0,5}".prop_map(Value::Text),
+        any::<bool>().prop_map(Value::Bool),
+        (0i64..3).prop_map(Value::Timestamp),
+    ]
+}
+
+fn list_row_strategy() -> impl Strategy<Value = Row> {
+    prop::collection::vec(list_value_strategy(), 0..5).prop_map(Row::new)
+}
+
+/// A `Rows` (flag `None`) or `TopK` (flag `Some(complete)`) list.
+fn list_strategy() -> impl Strategy<Value = (Vec<Row>, Option<bool>)> {
+    (
+        prop::collection::vec(list_row_strategy(), 0..8),
+        proptest::option::of(any::<bool>()),
+    )
+}
+
+/// One editor operation. Keys and slices are either drawn from a cached
+/// row (`pick`) or random.
+#[derive(Debug, Clone)]
+enum EditOp {
+    Append(Vec<Row>),
+    RemovePk(Value),
+    UpsertPk(Row),
+    RemoveSlice(usize, Vec<Value>),
+    ReplaceSlice(usize, Vec<Value>, Vec<Value>),
+    TopKInsert {
+        row: Row,
+        rank_col: usize,
+        descending: bool,
+        capacity: usize,
+        replacing: Option<Value>,
+    },
+}
+
+fn edit_op_strategy() -> impl Strategy<Value = (EditOp, Option<prop::sample::Index>)> {
+    let op = prop_oneof![
+        prop::collection::vec(list_row_strategy(), 0..3).prop_map(EditOp::Append),
+        list_value_strategy().prop_map(EditOp::RemovePk),
+        list_row_strategy().prop_map(EditOp::UpsertPk),
+        (
+            0usize..4,
+            prop::collection::vec(list_value_strategy(), 0..3)
+        )
+            .prop_map(|(from, vals)| EditOp::RemoveSlice(from, vals)),
+        (
+            0usize..4,
+            prop::collection::vec(list_value_strategy(), 0..3),
+            prop::collection::vec(list_value_strategy(), 0..3),
+        )
+            .prop_map(|(from, old, new)| EditOp::ReplaceSlice(from, old, new)),
+        (
+            list_row_strategy(),
+            0usize..4,
+            any::<bool>(),
+            1usize..9,
+            proptest::option::of(list_value_strategy()),
+        )
+            .prop_map(|(row, rank_col, descending, capacity, replacing)| {
+                EditOp::TopKInsert {
+                    row,
+                    rank_col,
+                    descending,
+                    capacity,
+                    replacing,
+                }
+            }),
+    ];
+    (op, proptest::option::of(any::<prop::sample::Index>()))
+}
+
+/// Points the op's key or slice at the cached row `pick` selects, so most
+/// removals and replacements hit. Half the time the key is that row's
+/// values in their other numeric type (`Int(2)` for `Float(2.0)` and
+/// back): equal as `Value`s, different as bytes.
+fn aim(op: EditOp, rows: &[Row], pick: Option<prop::sample::Index>) -> EditOp {
+    let Some(k) = pick
+        .filter(|_| !rows.is_empty())
+        .map(|i| i.index(2 * rows.len()))
+    else {
+        return op;
+    };
+    let (target, twin) = (&rows[k / 2], k % 2 == 1);
+    let key = |v: &Value| match v {
+        Value::Int(x) if twin => Value::Float(*x as f64),
+        Value::Float(f) if twin && f.fract() == 0.0 => Value::Int(*f as i64),
+        v => v.clone(),
+    };
+    let pk = key(target.get(0));
+    let tail = |from: usize| {
+        target
+            .values()
+            .get(from..)
+            .unwrap_or_default()
+            .iter()
+            .map(key)
+            .collect()
+    };
+    match op {
+        EditOp::RemovePk(_) => EditOp::RemovePk(pk),
+        EditOp::UpsertPk(row) => {
+            let mut vals = row.into_values();
+            vals.insert(0, pk);
+            EditOp::UpsertPk(Row::new(vals))
+        }
+        EditOp::RemoveSlice(from, _) => EditOp::RemoveSlice(from, tail(from)),
+        EditOp::ReplaceSlice(from, _, new) => EditOp::ReplaceSlice(from, tail(from), new),
+        EditOp::TopKInsert {
+            row,
+            rank_col,
+            descending,
+            capacity,
+            replacing: Some(_),
+        } => EditOp::TopKInsert {
+            row,
+            rank_col,
+            descending,
+            capacity,
+            replacing: Some(pk),
+        },
+        other => other,
+    }
+}
+
+fn rank_ahead(new: &Value, cached: &Value, descending: bool) -> bool {
+    let ord = new.cmp(cached);
+    (if descending { ord.reverse() } else { ord }) == Ordering::Less
+}
+
+/// The editor under test.
+fn edit_encoded(data: Bytes, op: &EditOp) -> genie_cache::Result<Option<Edited>> {
+    let list = EncodedList::parse(data)?.expect("a list payload");
+    match op {
+        EditOp::Append(rows) => Ok(Some(list.append(rows))),
+        EditOp::RemovePk(pk) => list.remove_pk(pk),
+        EditOp::UpsertPk(row) => list.upsert_pk(row).map(Some),
+        EditOp::RemoveSlice(from, vals) => list.remove_slice(*from, vals),
+        EditOp::ReplaceSlice(from, old, new) => list.replace_slice(*from, old, new),
+        EditOp::TopKInsert {
+            row,
+            rank_col,
+            descending,
+            capacity,
+            replacing,
+        } => {
+            let rank = row.get(*rank_col);
+            let ahead = |cached: &Value| rank_ahead(rank, cached, *descending);
+            list.top_k_insert(row, *rank_col, ahead, *capacity, replacing.as_ref())
+        }
+    }
+}
+
+/// The oracle: the same edit on decoded rows. `None` when the edit
+/// leaves the list alone.
+fn edit_decoded(
+    mut rows: Vec<Row>,
+    complete: Option<bool>,
+    op: &EditOp,
+) -> Option<(Vec<Row>, Option<bool>)> {
+    let slice_is = |r: &Row, from: usize, vals: &[Value]| r.values().get(from..) == Some(vals);
+    match op {
+        EditOp::Append(new) => rows.extend(new.iter().cloned()),
+        EditOp::RemovePk(pk) => {
+            let before = rows.len();
+            rows.retain(|r| r.get(0) != pk);
+            if rows.len() == before {
+                return None;
+            }
+        }
+        EditOp::UpsertPk(row) => match rows.iter_mut().find(|r| r.get(0) == row.get(0)) {
+            Some(slot) => *slot = row.clone(),
+            None => rows.push(row.clone()),
+        },
+        EditOp::RemoveSlice(from, vals) => {
+            let before = rows.len();
+            rows.retain(|r| !slice_is(r, *from, vals));
+            if rows.len() == before {
+                return None;
+            }
+        }
+        EditOp::ReplaceSlice(from, old, new) => {
+            let mut touched = false;
+            for r in &mut rows {
+                if slice_is(r, *from, old) {
+                    let mut vals = r.values()[..*from].to_vec();
+                    vals.extend(new.iter().cloned());
+                    *r = Row::new(vals);
+                    touched = true;
+                }
+            }
+            if !touched {
+                return None;
+            }
+        }
+        EditOp::TopKInsert {
+            row,
+            rank_col,
+            descending,
+            capacity,
+            replacing,
+        } => {
+            if let Some(pk) = replacing {
+                rows.retain(|r| r.get(0) != pk);
+            }
+            let rank = row.get(*rank_col);
+            let pos = rows
+                .iter()
+                .position(|r| rank_ahead(rank, r.get(*rank_col), *descending))
+                .unwrap_or(rows.len());
+            let mut flag = complete.unwrap_or(false);
+            if pos == rows.len() && !flag {
+                return None;
+            }
+            rows.insert(pos, row.clone());
+            if rows.len() > *capacity {
+                rows.truncate(*capacity);
+                flag = false;
+            }
+            return Some((rows, complete.map(|_| flag)));
+        }
+    }
+    Some((rows, complete))
+}
+
+fn list_payload(rows: Vec<Row>, complete: Option<bool>) -> Payload {
+    match complete {
+        None => Payload::Rows(rows),
+        Some(complete) => Payload::TopK { rows, complete },
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -54,6 +298,46 @@ proptest! {
             // OR be caught; if it decodes, it must not silently equal the
             // original (checksum would have caught identity flips).
             Ok(dec) => prop_assert_ne!(dec, p),
+        }
+    }
+
+    /// Every editor operation writes exactly the bytes `encode` gives for
+    /// decode → the same edit on `Vec<Row>`, and reports the same row
+    /// count; an edit that matches nothing is reported as such.
+    #[test]
+    fn list_edits_match_decode_edit_encode(list in list_strategy(), op in edit_op_strategy()) {
+        let ((rows, complete), (op, pick)) = (list, op);
+        let op = aim(op, &rows, pick);
+        let data = list_payload(rows.clone(), complete).encode();
+        let got = edit_encoded(data, &op).unwrap();
+        let want = edit_decoded(rows, complete, &op);
+        match (got, want) {
+            (Some(got), Some((rows, complete))) => {
+                prop_assert_eq!(got.len, rows.len());
+                prop_assert_eq!(got.data, list_payload(rows, complete).encode());
+            }
+            (None, None) => {}
+            (got, want) => prop_assert!(false, "{:?}: editor {:?}, oracle {:?}", op, got, want),
+        }
+    }
+
+    /// A single corrupted byte (under each mask of the decode test) fails
+    /// every operation with a codec error: no edit re-seals corruption.
+    #[test]
+    fn list_edits_reject_every_corrupted_byte(
+        list in list_strategy(),
+        op in edit_op_strategy(),
+        byte in any::<prop::sample::Index>(),
+    ) {
+        let ((rows, complete), (op, pick)) = (list, op);
+        let op = aim(op, &rows, pick);
+        let enc = list_payload(rows, complete).encode().to_vec();
+        let i = byte.index(enc.len());
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut bad = enc.clone();
+            bad[i] ^= mask;
+            let got = edit_encoded(Bytes::from(bad), &op);
+            prop_assert!(matches!(got, Err(CacheError::Codec(_))), "byte {} ^ {:#x}: {:?}", i, mask, got);
         }
     }
 

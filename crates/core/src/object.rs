@@ -215,15 +215,11 @@ impl ObjectInner {
         }
     }
 
-    /// Compares two main-table rows by the Top-K sort order; `Less` means
-    /// `a` ranks ahead of `b` in the cached list.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-TopK objects (internal misuse).
-    pub fn rank_cmp(&self, a: &Row, b: &Row) -> std::cmp::Ordering {
-        let pos = self.sort_position.expect("rank_cmp on TopK objects only");
-        let ord = a.get(pos).cmp(b.get(pos));
+    /// Compares two rows' sort-field values (column `sort_position`) by
+    /// the Top-K sort order; `Less` means `a`'s row ranks ahead of `b`'s in
+    /// the cached list.
+    pub fn rank_cmp(&self, a: &Value, b: &Value) -> std::cmp::Ordering {
+        let ord = a.cmp(b);
         match self.def.kind {
             CacheClassKind::TopK {
                 order: SortOrder::Descending,
@@ -459,7 +455,11 @@ mod tests {
         .unwrap();
         let newer = row![1i64, 1i64, "a", Value::Timestamp(100)];
         let older = row![2i64, 1i64, "b", Value::Timestamp(50)];
-        assert_eq!(obj.rank_cmp(&newer, &older), std::cmp::Ordering::Less);
+        let pos = obj.sort_position.unwrap();
+        assert_eq!(
+            obj.rank_cmp(newer.get(pos), older.get(pos)),
+            std::cmp::Ordering::Less
+        );
     }
 
     #[test]

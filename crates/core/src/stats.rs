@@ -20,6 +20,7 @@ pub struct GenieStats {
     pub(crate) commit_aborts: AtomicU64,
     pub(crate) txn_bypasses: AtomicU64,
     pub(crate) fills_dropped: AtomicU64,
+    pub(crate) trigger_values_decoded: AtomicU64,
 }
 
 /// A point-in-time copy of [`GenieStats`].
@@ -60,6 +61,10 @@ pub struct GenieStatsSnapshot {
     /// Read-through fills dropped because a committing writer invalidated
     /// the fill lease first (the fill would have cached a stale value).
     pub fills_dropped: u64,
+    /// Values trigger bodies decoded from cached payloads to compare rows
+    /// (primary keys, rank columns, link-target slices). Appends decode
+    /// none: trigger edits splice the encoded list.
+    pub trigger_values_decoded: u64,
     /// Store-level hits from application-origin reads, summed across the
     /// cache cluster (filled in by [`crate::CacheGenie::stats`]).
     pub store_app_hits: u64,
@@ -98,6 +103,7 @@ impl GenieStats {
             commit_aborts: self.commit_aborts.load(Ordering::Relaxed),
             txn_bypasses: self.txn_bypasses.load(Ordering::Relaxed),
             fills_dropped: self.fills_dropped.load(Ordering::Relaxed),
+            trigger_values_decoded: self.trigger_values_decoded.load(Ordering::Relaxed),
             // Store-level and replication counters live in the cache
             // cluster; CacheGenie::stats() merges them in.
             ..GenieStatsSnapshot::default()
@@ -121,6 +127,7 @@ impl GenieStats {
             &self.commit_aborts,
             &self.txn_bypasses,
             &self.fills_dropped,
+            &self.trigger_values_decoded,
         ] {
             c.store(0, Ordering::Relaxed);
         }

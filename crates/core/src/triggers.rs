@@ -15,8 +15,9 @@ use crate::def::{CacheClassKind, ConsistencyStrategy};
 use crate::genie::GenieConfig;
 use crate::object::ObjectInner;
 use crate::stats::GenieStats;
-use genie_cache::{CacheError, CacheHandle, Payload};
+use genie_cache::{CacheError, CacheHandle, Edited, EncodedList};
 use genie_storage::{Result, Row, Trigger, TriggerCtx, TriggerEvent, Value};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Builds all triggers for one compiled object (none for `Expire`).
@@ -100,24 +101,44 @@ fn make_trigger(
 // Shared gets/modify/cas machinery
 // ---------------------------------------------------------------------
 
-enum Mutation {
-    /// Store the new payload (CAS).
-    Keep(Payload),
-    /// Remove the key (reserve exhausted, corruption, wrong shape).
+/// What a trigger body does to one cached list.
+enum Edit {
+    /// Store the edited payload (CAS).
+    Keep(Edited),
+    /// Remove the key (reserve exhausted, wrong shape).
     Drop,
     /// Nothing to do.
     Noop,
 }
 
+impl Edit {
+    /// Store the edit, or the list unchanged when the edit matched no row.
+    fn keep(list: &EncodedList, edited: Option<Edited>) -> Edit {
+        Edit::Keep(edited.unwrap_or_else(|| list.unchanged()))
+    }
+
+    /// Store the edit; nothing to do when it matched no row.
+    fn keep_or_noop(edited: Option<Edited>) -> Edit {
+        edited.map_or(Edit::Noop, Edit::Keep)
+    }
+}
+
 /// The gets → modify → cas loop from the paper's generated trigger, with
 /// bounded retries; exhaustion falls back to invalidation (always safe).
-fn mutate_key(
+///
+/// `f` edits the cached list in its encoded form ([`EncodedList`]), so a
+/// firing costs O(bytes copied) rather than a decode and re-encode of
+/// every row. A list of the wrong shape for `obj` (Top-K or plain rows),
+/// or a non-list payload, is dropped; a corrupt one is invalidated.
+fn edit_key(
+    obj: &ObjectInner,
     cache: &CacheHandle,
     stats: &GenieStats,
     retries: usize,
     key: &str,
-    mut f: impl FnMut(Payload) -> Mutation,
+    mut f: impl FnMut(&EncodedList) -> genie_cache::Result<Edit>,
 ) -> u64 {
+    let top_k = matches!(obj.def.kind, CacheClassKind::TopK { .. });
     let mut ops = 0;
     for _ in 0..retries.max(1) {
         ops += 1;
@@ -125,29 +146,34 @@ fn mutate_key(
             stats.bump(&stats.trigger_noops);
             return ops;
         };
-        let payload = match Payload::decode(&got.data) {
-            Ok(p) => p,
+        let edit = EncodedList::parse(got.data).and_then(|list| match list {
+            Some(list) if list.top_k_complete().is_some() == top_k => {
+                let edit = f(&list);
+                stats.add(&stats.trigger_values_decoded, list.values_decoded());
+                edit
+            }
+            _ => Ok(Edit::Drop),
+        });
+        match edit {
             Err(_) => {
                 ops += 1;
                 cache.delete(key);
                 stats.bump(&stats.invalidations);
                 return ops;
             }
-        };
-        match f(payload) {
-            Mutation::Noop => {
+            Ok(Edit::Noop) => {
                 stats.bump(&stats.trigger_noops);
                 return ops;
             }
-            Mutation::Drop => {
+            Ok(Edit::Drop) => {
                 ops += 1;
                 cache.delete(key);
                 stats.bump(&stats.key_drops);
                 return ops;
             }
-            Mutation::Keep(p) => {
+            Ok(Edit::Keep(edited)) => {
                 ops += 1;
-                match cache.cas(key, p.encode(), got.cas, None) {
+                match cache.cas(key, edited.data, got.cas, None) {
                     Ok(()) => {
                         stats.bump(&stats.inplace_updates);
                         return ops;
@@ -170,6 +196,20 @@ fn mutate_key(
     cache.delete(key);
     stats.bump(&stats.invalidations);
     ops + 1
+}
+
+/// Appends `rows` to the row list at `key`.
+fn append_rows(
+    obj: &ObjectInner,
+    cache: &CacheHandle,
+    stats: &GenieStats,
+    retries: usize,
+    key: &str,
+    rows: &[Row],
+) -> u64 {
+    edit_key(obj, cache, stats, retries, key, |list| {
+        Ok(Edit::Keep(list.append(rows)))
+    })
 }
 
 fn invalidate_keys(cache: &CacheHandle, stats: &GenieStats, keys: &[String]) -> u64 {
@@ -230,88 +270,42 @@ fn fire_feature(
 ) -> u64 {
     match ctx.event {
         TriggerEvent::Insert => {
-            let new = ctx.new.expect("insert has NEW").clone();
-            mutate_key(
+            let new = ctx.new.expect("insert has NEW");
+            append_rows(
+                obj,
                 cache,
                 stats,
                 retries,
-                &obj.key_from_row(&new),
-                move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        rows.push(new.clone());
-                        Mutation::Keep(Payload::Rows(rows))
-                    }
-                    _ => Mutation::Drop,
-                },
+                &obj.key_from_row(new),
+                std::slice::from_ref(new),
             )
         }
         TriggerEvent::Delete => {
-            let old = ctx.old.expect("delete has OLD").clone();
-            mutate_key(
-                cache,
-                stats,
-                retries,
-                &obj.key_from_row(&old),
-                move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        let before = rows.len();
-                        rows.retain(|r| pk_of(r) != pk_of(&old));
-                        if rows.len() == before {
-                            Mutation::Noop
-                        } else {
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                    }
-                    _ => Mutation::Drop,
-                },
-            )
+            let old = ctx.old.expect("delete has OLD");
+            edit_key(obj, cache, stats, retries, &obj.key_from_row(old), |list| {
+                Ok(Edit::keep_or_noop(list.remove_pk(pk_of(old))?))
+            })
         }
         TriggerEvent::Update => {
-            let old = ctx.old.expect("update has OLD").clone();
-            let new = ctx.new.expect("update has NEW").clone();
-            if obj.key_fields_changed(&old, &new) {
+            let old = ctx.old.expect("update has OLD");
+            let new = ctx.new.expect("update has NEW");
+            if obj.key_fields_changed(old, new) {
                 // The row moved between keys: remove then add.
-                let mut ops = mutate_key(
+                let ops = edit_key(obj, cache, stats, retries, &obj.key_from_row(old), |list| {
+                    Ok(Edit::keep(list, list.remove_pk(pk_of(old))?))
+                });
+                ops + append_rows(
+                    obj,
                     cache,
                     stats,
                     retries,
-                    &obj.key_from_row(&old),
-                    |p| match p {
-                        Payload::Rows(mut rows) => {
-                            rows.retain(|r| pk_of(r) != pk_of(&old));
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                        _ => Mutation::Drop,
-                    },
-                );
-                let new2 = new.clone();
-                ops += mutate_key(
-                    cache,
-                    stats,
-                    retries,
-                    &obj.key_from_row(&new),
-                    move |p| match p {
-                        Payload::Rows(mut rows) => {
-                            rows.push(new2.clone());
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                        _ => Mutation::Drop,
-                    },
-                );
-                ops
+                    &obj.key_from_row(new),
+                    std::slice::from_ref(new),
+                )
             } else {
-                mutate_key(cache, stats, retries, &obj.key_from_row(&new), move |p| {
-                    match p {
-                        Payload::Rows(mut rows) => {
-                            match rows.iter_mut().find(|r| pk_of(r) == pk_of(&new)) {
-                                Some(slot) => *slot = new.clone(),
-                                // Heal: the row should have been present.
-                                None => rows.push(new.clone()),
-                            }
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                        _ => Mutation::Drop,
-                    }
+                // Replace the row; heal by appending if it was missing.
+                edit_key(obj, cache, stats, retries, &obj.key_from_row(new), |list| {
+                    Ok(Edit::Keep(list.upsert_pk(new)?))
                 })
             }
         }
@@ -358,32 +352,33 @@ fn fire_count(
 }
 
 /// Inserts `row` into a Top-K list per the paper's §3.2 algorithm,
-/// honouring the completeness flag.
-fn top_k_insert(obj: &ObjectInner, mut rows: Vec<Row>, mut complete: bool, row: &Row) -> Mutation {
-    let pos = rows
-        .iter()
-        .position(|r| obj.rank_cmp(row, r) == std::cmp::Ordering::Less)
-        .unwrap_or(rows.len());
-    if pos < rows.len() || complete {
-        rows.insert(pos, row.clone());
-        if rows.len() > obj.capacity {
-            rows.truncate(obj.capacity);
-            complete = false;
-        }
-        Mutation::Keep(Payload::TopK { rows, complete })
-    } else {
-        // Row ranks below everything cached and coverage is incomplete:
-        // it may or may not belong at the tail, so leave the list alone
-        // (same as the paper's `insert_pos == len` early exit).
-        Mutation::Noop
-    }
+/// honouring the completeness flag, after dropping the rows with primary
+/// key `replacing`. `Noop` when the row ranks below everything cached and
+/// coverage is incomplete: it may or may not belong at the tail, so the
+/// list is left alone (the paper's `insert_pos == len` early exit).
+fn top_k_insert(
+    obj: &ObjectInner,
+    list: &EncodedList,
+    row: &Row,
+    replacing: Option<&Value>,
+) -> genie_cache::Result<Edit> {
+    let pos = obj.sort_position.expect("Top-K object");
+    let rank = row.get(pos);
+    let ahead = |cached: &Value| obj.rank_cmp(rank, cached) == Ordering::Less;
+    let edited = list.top_k_insert(row, pos, ahead, obj.capacity, replacing)?;
+    Ok(Edit::keep_or_noop(edited))
 }
 
-fn top_k_remove(obj: &ObjectInner, rows: &mut Vec<Row>, pk: &Value) -> bool {
-    let before = rows.len();
-    rows.retain(|r| pk_of(r) != pk);
-    let _ = obj;
-    rows.len() != before
+/// Removes the row with primary key `pk` from a Top-K list; drops the
+/// key once an incomplete list falls below K (reserve exhausted:
+/// recompute on the next read).
+fn top_k_remove(obj: &ObjectInner, list: &EncodedList, pk: &Value) -> genie_cache::Result<Edit> {
+    let complete = list.top_k_complete() == Some(true);
+    Ok(match list.remove_pk(pk)? {
+        None => Edit::Noop,
+        Some(edited) if edited.len < obj.k() && !complete => Edit::Drop,
+        Some(edited) => Edit::Keep(edited),
+    })
 }
 
 fn fire_top_k(
@@ -393,95 +388,37 @@ fn fire_top_k(
     retries: usize,
     ctx: &TriggerCtx<'_>,
 ) -> u64 {
-    let k = obj.k();
     match ctx.event {
         TriggerEvent::Insert => {
-            let new = ctx.new.expect("NEW").clone();
-            mutate_key(
-                cache,
-                stats,
-                retries,
-                &obj.key_from_row(&new),
-                move |p| match p {
-                    Payload::TopK { rows, complete } => top_k_insert(obj, rows, complete, &new),
-                    _ => Mutation::Drop,
-                },
-            )
+            let new = ctx.new.expect("NEW");
+            edit_key(obj, cache, stats, retries, &obj.key_from_row(new), |list| {
+                top_k_insert(obj, list, new, None)
+            })
         }
         TriggerEvent::Delete => {
-            let old = ctx.old.expect("OLD").clone();
-            mutate_key(cache, stats, retries, &obj.key_from_row(&old), move |p| {
-                match p {
-                    Payload::TopK { mut rows, complete } => {
-                        if !top_k_remove(obj, &mut rows, pk_of(&old)) {
-                            return Mutation::Noop;
-                        }
-                        if rows.len() < k && !complete {
-                            // Reserve exhausted: recompute on next read.
-                            Mutation::Drop
-                        } else {
-                            Mutation::Keep(Payload::TopK { rows, complete })
-                        }
-                    }
-                    _ => Mutation::Drop,
-                }
+            let old = ctx.old.expect("OLD");
+            edit_key(obj, cache, stats, retries, &obj.key_from_row(old), |list| {
+                top_k_remove(obj, list, pk_of(old))
             })
         }
         TriggerEvent::Update => {
-            let old = ctx.old.expect("OLD").clone();
-            let new = ctx.new.expect("NEW").clone();
-            if obj.key_fields_changed(&old, &new) {
+            let old = ctx.old.expect("OLD");
+            let new = ctx.new.expect("NEW");
+            if obj.key_fields_changed(old, new) {
                 // Moved between lists: delete from old, insert into new.
-                let old2 = old.clone();
-                let mut ops = mutate_key(
-                    cache,
-                    stats,
-                    retries,
-                    &obj.key_from_row(&old),
-                    move |p| match p {
-                        Payload::TopK { mut rows, complete } => {
-                            if !top_k_remove(obj, &mut rows, pk_of(&old2)) {
-                                return Mutation::Noop;
-                            }
-                            if rows.len() < k && !complete {
-                                Mutation::Drop
-                            } else {
-                                Mutation::Keep(Payload::TopK { rows, complete })
-                            }
-                        }
-                        _ => Mutation::Drop,
-                    },
-                );
-                let new2 = new.clone();
-                ops += mutate_key(
-                    cache,
-                    stats,
-                    retries,
-                    &obj.key_from_row(&new),
-                    move |p| match p {
-                        Payload::TopK { rows, complete } => {
-                            top_k_insert(obj, rows, complete, &new2)
-                        }
-                        _ => Mutation::Drop,
-                    },
-                );
-                ops
+                edit_key(obj, cache, stats, retries, &obj.key_from_row(old), |list| {
+                    top_k_remove(obj, list, pk_of(old))
+                }) + edit_key(obj, cache, stats, retries, &obj.key_from_row(new), |list| {
+                    top_k_insert(obj, list, new, None)
+                })
             } else {
                 // Same list: reposition (sort value may have changed).
-                mutate_key(cache, stats, retries, &obj.key_from_row(&new), move |p| {
-                    match p {
-                        Payload::TopK { mut rows, complete } => {
-                            let was_cached = top_k_remove(obj, &mut rows, pk_of(&old));
-                            match top_k_insert(obj, rows, complete, &new) {
-                                Mutation::Noop if was_cached => {
-                                    // Row fell out of the cached range;
-                                    // the remaining prefix is still right.
-                                    Mutation::Noop
-                                }
-                                other => other,
-                            }
-                        }
-                        _ => Mutation::Drop,
+                edit_key(obj, cache, stats, retries, &obj.key_from_row(new), |list| {
+                    match top_k_insert(obj, list, new, Some(pk_of(old)))? {
+                        // The row now ranks past the cached range: its
+                        // stale image still leaves; the prefix stays right.
+                        Edit::Noop => top_k_remove(obj, list, pk_of(old)),
+                        edit => Ok(edit),
                     }
                 })
             }
@@ -514,78 +451,38 @@ fn fire_link_main(
 ) -> Result<u64> {
     match ctx.event {
         TriggerEvent::Insert => {
-            let new = ctx.new.expect("NEW").clone();
-            let key = obj.key_from_row(&new);
+            let new = ctx.new.expect("NEW");
+            let key = obj.key_from_row(new);
             // Probe first: skip the DB work when nothing is cached.
             if !cache.contains(&key) {
                 stats.bump(&stats.trigger_noops);
                 return Ok(1);
             }
-            let fresh = link_rows_for_base(obj, ctx, pk_of(&new))?;
-            let ops = 1 + mutate_key(cache, stats, retries, &key, move |p| match p {
-                Payload::Rows(mut rows) => {
-                    rows.extend(fresh.iter().cloned());
-                    Mutation::Keep(Payload::Rows(rows))
-                }
-                _ => Mutation::Drop,
-            });
-            Ok(ops)
+            let fresh = link_rows_for_base(obj, ctx, pk_of(new))?;
+            Ok(1 + append_rows(obj, cache, stats, retries, &key, &fresh))
         }
         TriggerEvent::Delete => {
-            let old = ctx.old.expect("OLD").clone();
-            let key = obj.key_from_row(&old);
-            Ok(mutate_key(cache, stats, retries, &key, move |p| match p {
-                Payload::Rows(mut rows) => {
-                    let before = rows.len();
-                    rows.retain(|r| pk_of(r) != pk_of(&old));
-                    if rows.len() == before {
-                        Mutation::Noop
-                    } else {
-                        Mutation::Keep(Payload::Rows(rows))
-                    }
-                }
-                _ => Mutation::Drop,
+            let old = ctx.old.expect("OLD");
+            let key = obj.key_from_row(old);
+            Ok(edit_key(obj, cache, stats, retries, &key, |list| {
+                Ok(Edit::keep_or_noop(list.remove_pk(pk_of(old))?))
             }))
         }
         TriggerEvent::Update => {
-            let old = ctx.old.expect("OLD").clone();
-            let new = ctx.new.expect("NEW").clone();
-            let old_key = obj.key_from_row(&old);
-            let new_key = obj.key_from_row(&new);
-            let mut ops = 0;
-            if old_key != new_key {
-                let old2 = old.clone();
-                ops += mutate_key(cache, stats, retries, &old_key, move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        rows.retain(|r| pk_of(r) != pk_of(&old2));
-                        Mutation::Keep(Payload::Rows(rows))
-                    }
-                    _ => Mutation::Drop,
-                });
-            } else {
-                // Same key: drop stale combined rows for this base row.
-                let old2 = old.clone();
-                ops += mutate_key(cache, stats, retries, &old_key, move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        rows.retain(|r| pk_of(r) != pk_of(&old2));
-                        Mutation::Keep(Payload::Rows(rows))
-                    }
-                    _ => Mutation::Drop,
-                });
-            }
+            let old = ctx.old.expect("OLD");
+            let new = ctx.new.expect("NEW");
+            let new_key = obj.key_from_row(new);
+            // Drop the stale combined rows for this base row, whether or
+            // not it moved between keys.
+            let mut ops = edit_key(obj, cache, stats, retries, &obj.key_from_row(old), |list| {
+                Ok(Edit::keep(list, list.remove_pk(pk_of(old))?))
+            });
             // Add the fresh join image under the new key if it is cached.
+            ops += 1;
             if cache.contains(&new_key) {
-                ops += 1;
-                let fresh = link_rows_for_base(obj, ctx, pk_of(&new))?;
-                ops += mutate_key(cache, stats, retries, &new_key, move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        rows.extend(fresh.iter().cloned());
-                        Mutation::Keep(Payload::Rows(rows))
-                    }
-                    _ => Mutation::Drop,
-                });
+                let fresh = link_rows_for_base(obj, ctx, pk_of(new))?;
+                ops += append_rows(obj, cache, stats, retries, &new_key, &fresh);
             } else {
-                ops += 1;
                 stats.bump(&stats.trigger_noops);
             }
             Ok(ops)
@@ -614,124 +511,75 @@ fn fire_link_target(
         keys.dedup();
         Ok(keys)
     };
+    // For every base row that joins `target` on its join column, append
+    // base ++ target to the base row's list.
+    let append_joined = |ctx: &mut TriggerCtx<'_>, target: &Row| -> Result<u64> {
+        let bases = ctx.query(&link.reverse_template, std::slice::from_ref(target.get(tc)))?;
+        let mut ops = 0;
+        for base in &bases.rows {
+            let combined: Vec<Value> = base
+                .values()
+                .iter()
+                .chain(target.values())
+                .cloned()
+                .collect();
+            let key = obj.key_from_row(base);
+            ops += append_rows(obj, cache, stats, retries, &key, &[Row::new(combined)]);
+        }
+        Ok(ops)
+    };
 
     if obj.def.strategy == ConsistencyStrategy::Invalidate {
         let mut keys = Vec::new();
         if let Some(old) = ctx.old {
-            let v = old.get(tc).clone();
-            keys.extend(affected_keys(ctx, &v)?);
+            keys.extend(affected_keys(ctx, old.get(tc))?);
         }
         if let Some(new) = ctx.new {
-            let v = new.get(tc).clone();
-            keys.extend(affected_keys(ctx, &v)?);
+            keys.extend(affected_keys(ctx, new.get(tc))?);
         }
         return Ok(invalidate_keys(cache, stats, &keys));
     }
 
     let mut ops = 0;
     match ctx.event {
-        TriggerEvent::Insert => {
-            // A new target row may extend cached join results: for every
-            // affected base row's key, append base ++ new.
-            let new = ctx.new.expect("NEW").clone();
-            let v = new.get(tc).clone();
-            let bases = ctx.query(&link.reverse_template, &[v])?;
-            for base in &bases.rows {
-                let key = obj.key_from_row(base);
-                let combined: Vec<Value> =
-                    base.values().iter().chain(new.values()).cloned().collect();
-                let combined = Row::new(combined);
-                ops += mutate_key(cache, stats, retries, &key, move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        rows.push(combined.clone());
-                        Mutation::Keep(Payload::Rows(rows))
-                    }
-                    _ => Mutation::Drop,
-                });
-            }
-            Ok(ops)
-        }
+        // A new target row may extend cached join results.
+        TriggerEvent::Insert => append_joined(ctx, ctx.new.expect("NEW")),
         TriggerEvent::Delete => {
-            let old = ctx.old.expect("OLD").clone();
-            let v = old.get(tc).clone();
-            let keys = affected_keys(ctx, &v)?;
-            for key in keys {
-                let old2 = old.clone();
-                ops += mutate_key(cache, stats, retries, &key, move |p| match p {
-                    Payload::Rows(mut rows) => {
-                        let before = rows.len();
-                        rows.retain(|r| r.values()[base_arity..] != *old2.values());
-                        if rows.len() == before {
-                            Mutation::Noop
-                        } else {
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                    }
-                    _ => Mutation::Drop,
+            let old = ctx.old.expect("OLD");
+            for key in affected_keys(ctx, old.get(tc))? {
+                ops += edit_key(obj, cache, stats, retries, &key, |list| {
+                    Ok(Edit::keep_or_noop(
+                        list.remove_slice(base_arity, old.values())?,
+                    ))
                 });
             }
             Ok(ops)
         }
         TriggerEvent::Update => {
-            let old = ctx.old.expect("OLD").clone();
-            let new = ctx.new.expect("NEW").clone();
+            let old = ctx.old.expect("OLD");
+            let new = ctx.new.expect("NEW");
             if old.get(tc) != new.get(tc) {
                 // The join column moved: old joiners lose the row, new
                 // joiners gain it.
-                let v_old = old.get(tc).clone();
-                for key in affected_keys(ctx, &v_old)? {
-                    let old2 = old.clone();
-                    ops += mutate_key(cache, stats, retries, &key, move |p| match p {
-                        Payload::Rows(mut rows) => {
-                            rows.retain(|r| r.values()[base_arity..] != *old2.values());
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                        _ => Mutation::Drop,
+                for key in affected_keys(ctx, old.get(tc))? {
+                    ops += edit_key(obj, cache, stats, retries, &key, |list| {
+                        Ok(Edit::keep(
+                            list,
+                            list.remove_slice(base_arity, old.values())?,
+                        ))
                     });
                 }
-                let v_new = new.get(tc).clone();
-                let bases = ctx.query(&link.reverse_template, &[v_new])?;
-                for base in &bases.rows {
-                    let key = obj.key_from_row(base);
-                    let combined: Vec<Value> =
-                        base.values().iter().chain(new.values()).cloned().collect();
-                    let combined = Row::new(combined);
-                    ops += mutate_key(cache, stats, retries, &key, move |p| match p {
-                        Payload::Rows(mut rows) => {
-                            rows.push(combined.clone());
-                            Mutation::Keep(Payload::Rows(rows))
-                        }
-                        _ => Mutation::Drop,
-                    });
-                }
+                Ok(ops + append_joined(ctx, new)?)
             } else {
                 // In-place: replace the target portion of matching rows.
-                let v = new.get(tc).clone();
-                for key in affected_keys(ctx, &v)? {
-                    let old2 = old.clone();
-                    let new2 = new.clone();
-                    ops += mutate_key(cache, stats, retries, &key, move |p| match p {
-                        Payload::Rows(mut rows) => {
-                            let mut touched = false;
-                            for r in &mut rows {
-                                if r.values()[base_arity..] == *old2.values() {
-                                    let mut vals = r.values()[..base_arity].to_vec();
-                                    vals.extend(new2.values().iter().cloned());
-                                    *r = Row::new(vals);
-                                    touched = true;
-                                }
-                            }
-                            if touched {
-                                Mutation::Keep(Payload::Rows(rows))
-                            } else {
-                                Mutation::Noop
-                            }
-                        }
-                        _ => Mutation::Drop,
+                for key in affected_keys(ctx, new.get(tc))? {
+                    ops += edit_key(obj, cache, stats, retries, &key, |list| {
+                        let edited = list.replace_slice(base_arity, old.values(), new.values())?;
+                        Ok(Edit::keep_or_noop(edited))
                     });
                 }
+                Ok(ops)
             }
-            Ok(ops)
         }
     }
 }
@@ -920,45 +768,71 @@ mod tests {
         genie_storage::row![id, user, Value::Timestamp(ts)]
     }
 
+    fn top_k_list(rows: Vec<Row>, complete: bool) -> EncodedList {
+        let data = genie_cache::Payload::TopK { rows, complete }.encode();
+        EncodedList::parse(data).unwrap().unwrap()
+    }
+
+    /// The stored list of a `Keep` edit, as timestamps and the flag.
+    fn kept(edit: Edit) -> (Vec<i64>, bool) {
+        let Edit::Keep(edited) = edit else {
+            panic!("expected keep");
+        };
+        let payload = genie_cache::Payload::decode(&edited.data).unwrap();
+        let (rows, complete) = payload.as_top_k().unwrap();
+        let ts = rows.iter().map(|r| r.get(2).as_timestamp().unwrap());
+        (ts.collect(), complete)
+    }
+
     #[test]
     fn top_k_insert_positions() {
         let obj = top_k_obj();
         // Complete list of 2: insert in the middle and at the tail.
         let rows = vec![post(1, 7, 100), post(2, 7, 50)];
-        let m = top_k_insert(&obj, rows.clone(), true, &post(3, 7, 75));
-        match m {
-            Mutation::Keep(Payload::TopK { rows, complete }) => {
-                assert!(complete);
-                let ts: Vec<i64> = rows
-                    .iter()
-                    .map(|r| r.get(2).as_timestamp().unwrap())
-                    .collect();
-                assert_eq!(ts, vec![100, 75, 50]);
-            }
-            _ => panic!("expected keep"),
-        }
+        let list = top_k_list(rows.clone(), true);
+        let edit = top_k_insert(&obj, &list, &post(3, 7, 75), None).unwrap();
+        assert_eq!(kept(edit), (vec![100, 75, 50], true));
         // Tail insert allowed only when complete.
-        match top_k_insert(&obj, rows.clone(), true, &post(4, 7, 10)) {
-            Mutation::Keep(Payload::TopK { rows, .. }) => assert_eq!(rows.len(), 3),
-            _ => panic!(),
-        }
-        match top_k_insert(&obj, rows, false, &post(4, 7, 10)) {
-            Mutation::Noop => {}
-            _ => panic!("tail insert into incomplete list must be a no-op"),
-        }
+        let edit = top_k_insert(&obj, &list, &post(4, 7, 10), None).unwrap();
+        assert_eq!(kept(edit).0.len(), 3);
+        let incomplete = top_k_list(rows, false);
+        assert!(
+            matches!(
+                top_k_insert(&obj, &incomplete, &post(4, 7, 10), None).unwrap(),
+                Edit::Noop
+            ),
+            "tail insert into incomplete list must be a no-op"
+        );
+        // Appends and rank probes decode only the rank column.
+        assert_eq!(list.values_decoded(), 4);
     }
 
     #[test]
     fn top_k_insert_truncates_at_capacity() {
         let obj = top_k_obj(); // capacity 5
         let rows: Vec<Row> = (0..5).map(|i| post(i, 7, 100 - i)).collect();
-        match top_k_insert(&obj, rows, true, &post(99, 7, 98)) {
-            Mutation::Keep(Payload::TopK { rows, complete }) => {
-                assert_eq!(rows.len(), 5);
-                assert!(!complete, "truncation loses coverage");
-            }
-            _ => panic!(),
-        }
+        let list = top_k_list(rows, true);
+        let (ts, complete) = kept(top_k_insert(&obj, &list, &post(99, 7, 98), None).unwrap());
+        assert_eq!(ts, vec![100, 99, 98, 98, 97]);
+        assert!(!complete, "truncation loses coverage");
+    }
+
+    #[test]
+    fn top_k_remove_drops_an_exhausted_reserve() {
+        let obj = top_k_obj(); // K 3
+        let rows: Vec<Row> = (0..3).map(|i| post(i, 7, 100 - i)).collect();
+        let incomplete = top_k_list(rows.clone(), false);
+        assert!(matches!(
+            top_k_remove(&obj, &incomplete, &Value::Int(1)).unwrap(),
+            Edit::Drop
+        ));
+        assert!(matches!(
+            top_k_remove(&obj, &incomplete, &Value::Int(9)).unwrap(),
+            Edit::Noop
+        ));
+        let complete = top_k_list(rows, true);
+        let edit = top_k_remove(&obj, &complete, &Value::Int(1)).unwrap();
+        assert_eq!(kept(edit), (vec![100, 98], true));
     }
 
     #[test]

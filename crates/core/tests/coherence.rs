@@ -406,3 +406,21 @@ fn mixed_deterministic_sequence() {
     run_coherence(ConsistencyStrategy::UpdateInPlace, &ops);
     run_coherence(ConsistencyStrategy::Invalidate, &ops);
 }
+
+/// A post retimed from the head of an incomplete Top-K list to below its
+/// cached tail must leave the list: the reposition cannot place it, but
+/// the stale image must not stay cached at its old rank.
+#[test]
+fn retimed_post_below_an_incomplete_cached_tail_leaves_the_list() {
+    let mut ops: Vec<Op> = (1..=7)
+        .map(|i| Op::PostWall {
+            user: 1,
+            ts: 100 * i,
+        })
+        .collect();
+    ops.push(Op::ReadWall { user: 1 });
+    ops.push(Op::RetimeWallNewest { user: 1, ts: 1 });
+    ops.push(Op::RetimeWallNewest { user: 1, ts: 2 });
+    ops.push(Op::RetimeWallNewest { user: 1, ts: 3 });
+    run_coherence(ConsistencyStrategy::UpdateInPlace, &ops);
+}

@@ -226,3 +226,88 @@ fn chrome_top3_cost_stays_flat_as_history_grows() {
     assert_eq!(costs[0], (3, 0, 0), "10 saves: {costs:?}");
     assert_eq!(costs[1], costs[0], "cost grew with history: {costs:?}");
 }
+
+/// The write-side analogue of the chrome test: a save's trigger edits
+/// splice the user's cached `user_bookmarks` list and a friend's cached
+/// `friend_bookmarks` list in place. They decode no cached values however
+/// long those lists have grown, and the lists stay exactly what the
+/// database would answer.
+#[test]
+fn create_bm_trigger_work_stays_flat_as_history_grows() {
+    use genie_cache::CacheOrigin;
+    use genie_storage::Row;
+
+    let env = build_app(&cfg(Some(ConsistencyStrategy::UpdateInPlace))).unwrap();
+    let (app, user, friend) = (&env.app, 1i64, 2i64);
+    // `friend` follows `user`, so the user's saves join into the friend's
+    // `friend_bookmarks` list.
+    app.session()
+        .create(
+            "Friendship",
+            &[
+                ("user_id", friend.into()),
+                ("friend_id", user.into()),
+                ("added", genie_storage::Value::Timestamp(app.next_ts())),
+            ],
+        )
+        .unwrap();
+    let saves = app
+        .session()
+        .objects("BookmarkInstance")
+        .unwrap()
+        .filter_eq("user_id", user);
+    let lists = [
+        ("cg:user_bookmarks:1", app.user_bookmarks_qs(user).unwrap()),
+        (
+            "cg:friend_bookmarks:2",
+            app.friend_bookmarks_qs(friend).unwrap(),
+        ),
+    ];
+    let cache = env.cluster.handle(CacheOrigin::Application);
+    let sorted = |mut rows: Vec<Row>| {
+        rows.sort_by_key(|r| r.values().to_vec());
+        rows
+    };
+    let (mut history, _) = app.session().count(&saves).unwrap();
+    for (round, target) in [10i64, 2_000].into_iter().enumerate() {
+        // Grow the history with nothing cached, then cache both lists.
+        env.cluster.flush_all();
+        while history < target {
+            app.session()
+                .create(
+                    "BookmarkInstance",
+                    &[
+                        ("bookmark_id", 1i64.into()),
+                        ("user_id", user.into()),
+                        ("description", "saved".into()),
+                        ("saved", genie_storage::Value::Timestamp(app.next_ts())),
+                    ],
+                )
+                .unwrap();
+            history += 1;
+        }
+        for (key, qs) in &lists {
+            assert!(!app.session().all(qs).unwrap().from_cache);
+            assert!(cache.contains(key), "{key} not filled");
+        }
+
+        let before = env.genie.stats();
+        app.create_bm(user, &format!("http://flat.example/{round}"))
+            .unwrap();
+        let after = env.genie.stats();
+        history += 1;
+        let decoded = after.trigger_values_decoded - before.trigger_values_decoded;
+        let updated = after.inplace_updates - before.inplace_updates;
+        assert_eq!(decoded, 0, "{target} saves: trigger bodies decoded values");
+        assert!(updated >= 1, "{target} saves: no in-place update");
+
+        for (key, qs) in &lists {
+            let cached = cache.get_payload(key).unwrap().expect("still cached");
+            let cached = cached.as_rows().expect("a row list").to_vec();
+            assert!(cached.len() as i64 > target, "{key}: {} rows", cached.len());
+            let (sel, params) = qs.compile();
+            let fresh = env.db.select(&sel, &params).unwrap().result.rows;
+            assert_eq!(sorted(cached), sorted(fresh), "{key} at {target} saves");
+        }
+    }
+}
